@@ -16,6 +16,8 @@
 //! packets-to-detection for the seeded extended-profile vulnerabilities
 //! (D9/D10/D11), dictionary engine vs the coverage-guided feedback engine,
 //! across eight sweep seeds.
+//! The ablation itself is [`bench::detection_ablation`], which
+//! `tests/detection_ablation.rs` asserts against the committed medians.
 //!
 //! ```text
 //! cargo run --release -p bench --bin perf_report [output.json] \
@@ -25,7 +27,7 @@
 use std::time::Instant;
 
 use alloc_counter::{allocations, CountingAllocator};
-use bench::run_comparison_serial;
+use bench::{detection_ablation, run_comparison_serial, AblationRow, ABLATION_SEEDS};
 use btcore::{Cid, FuzzRng, Identifier, Psm};
 use btstack::profiles::{DeviceProfile, ProfileId};
 use feedback::{FeedbackCampaignExt, FeedbackConfig};
@@ -382,86 +384,6 @@ fn main() {
     if !baseline_paths.is_empty() {
         compare_against_baselines(&results, &baseline_paths);
     }
-}
-
-/// The sweep seeds the detection ablation runs under — the extended-profile
-/// scenario seeds, eight of them so the median is stable.
-const ABLATION_SEEDS: [u64; 8] = [51, 52, 53, 54, 55, 56, 57, 58];
-
-/// One target's row of the pinned D9/D10/D11 ablation: packets to detection
-/// per sweep seed for each engine (the full spend, transitions and liveness
-/// pings included; an undetected run is censored at its total spend).
-struct AblationRow {
-    profile: ProfileId,
-    dictionary: Vec<u64>,
-    feedback: Vec<u64>,
-    dictionary_detected: usize,
-    feedback_detected: usize,
-}
-
-fn median(samples: &[u64]) -> u64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    (sorted[sorted.len().div_ceil(2) - 1] + sorted[sorted.len() / 2]) / 2
-}
-
-impl AblationRow {
-    fn dictionary_median(&self) -> u64 {
-        median(&self.dictionary)
-    }
-
-    fn feedback_median(&self) -> u64 {
-        median(&self.feedback)
-    }
-}
-
-/// Runs the pinned ablation: for each seeded extended-profile vulnerability,
-/// a dictionary detection campaign and a coverage-guided feedback campaign
-/// per sweep seed.  The dictionary baseline gets configuration-option
-/// mutation on D11 — without it the ERTM zero-window seed is unreachable
-/// and the comparison would be a strawman.
-fn detection_ablation() -> Vec<AblationRow> {
-    [ProfileId::D9, ProfileId::D10, ProfileId::D11]
-        .into_iter()
-        .map(|id| {
-            let mut row = AblationRow {
-                profile: id,
-                dictionary: Vec::new(),
-                feedback: Vec::new(),
-                dictionary_detected: 0,
-                feedback_detected: 0,
-            };
-            for seed in ABLATION_SEEDS {
-                let dict = Campaign::builder()
-                    .target(DeviceProfile::table5(id))
-                    .fuzzer(move || {
-                        let cfg = if id == ProfileId::D11 {
-                            FuzzConfig::default().with_config_option_mutation()
-                        } else {
-                            FuzzConfig::default()
-                        };
-                        Box::new(L2FuzzTool::detection(cfg, 3))
-                    })
-                    .seed(seed)
-                    .run()
-                    .expect("ablation dictionary campaign runs")
-                    .into_single();
-                row.dictionary.push(dict.report.packets_sent);
-                row.dictionary_detected += usize::from(dict.report.vulnerable());
-
-                let fb = Campaign::builder()
-                    .target(DeviceProfile::table5(id))
-                    .feedback(FeedbackConfig::default())
-                    .seed(seed)
-                    .run()
-                    .expect("ablation feedback campaign runs")
-                    .into_single();
-                row.feedback.push(fb.report.packets_sent);
-                row.feedback_detected += usize::from(fb.report.vulnerable());
-            }
-            row
-        })
-        .collect()
 }
 
 /// Prints the ablation as a GitHub-flavoured markdown table; the CI bench

@@ -12,6 +12,7 @@
 #![warn(missing_docs)]
 
 use btstack::profiles::{DeviceProfile, ProfileId};
+use feedback::{FeedbackCampaignExt, FeedbackConfig};
 use l2fuzz::campaign::{Campaign, CampaignOutcome, OraclePolicy, ShardedExecutor};
 use l2fuzz::config::FuzzConfig;
 use l2fuzz::fuzzer::{Fuzzer, TxBudget};
@@ -147,6 +148,93 @@ pub fn run_comparison(budget: usize, seed: u64) -> Vec<ComparisonRun> {
             .map(|h| h.join().expect("comparison worker panicked"))
             .collect()
     })
+}
+
+/// The sweep seeds the detection ablation runs under — the extended-profile
+/// scenario seeds, eight of them so the median is stable.
+pub const ABLATION_SEEDS: [u64; 8] = [51, 52, 53, 54, 55, 56, 57, 58];
+
+/// One target's row of the pinned D9/D10/D11 ablation: packets to detection
+/// per sweep seed for each engine (the full spend, transitions and liveness
+/// pings included; an undetected run is censored at its total spend).
+pub struct AblationRow {
+    /// The target profile.
+    pub profile: ProfileId,
+    /// Packets spent by the dictionary engine, one entry per sweep seed.
+    pub dictionary: Vec<u64>,
+    /// Packets spent by the feedback engine, one entry per sweep seed.
+    pub feedback: Vec<u64>,
+    /// Sweep seeds on which the dictionary engine detected the seeded bug.
+    pub dictionary_detected: usize,
+    /// Sweep seeds on which the feedback engine detected the seeded bug.
+    pub feedback_detected: usize,
+}
+
+fn median(samples: &[u64]) -> u64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    (sorted[sorted.len().div_ceil(2) - 1] + sorted[sorted.len() / 2]) / 2
+}
+
+impl AblationRow {
+    /// Median packets to detection of the dictionary engine.
+    pub fn dictionary_median(&self) -> u64 {
+        median(&self.dictionary)
+    }
+
+    /// Median packets to detection of the feedback engine.
+    pub fn feedback_median(&self) -> u64 {
+        median(&self.feedback)
+    }
+}
+
+/// Runs the pinned ablation: for each seeded extended-profile vulnerability,
+/// a dictionary detection campaign and a coverage-guided feedback campaign
+/// per sweep seed.  The dictionary baseline gets configuration-option
+/// mutation on D11 — without it the ERTM zero-window seed is unreachable
+/// and the comparison would be a strawman.
+pub fn detection_ablation() -> Vec<AblationRow> {
+    [ProfileId::D9, ProfileId::D10, ProfileId::D11]
+        .into_iter()
+        .map(|id| {
+            let mut row = AblationRow {
+                profile: id,
+                dictionary: Vec::new(),
+                feedback: Vec::new(),
+                dictionary_detected: 0,
+                feedback_detected: 0,
+            };
+            for seed in ABLATION_SEEDS {
+                let dict = Campaign::builder()
+                    .target(DeviceProfile::table5(id))
+                    .fuzzer(move || {
+                        let cfg = if id == ProfileId::D11 {
+                            FuzzConfig::default().with_config_option_mutation()
+                        } else {
+                            FuzzConfig::default()
+                        };
+                        Box::new(L2FuzzTool::detection(cfg, 3))
+                    })
+                    .seed(seed)
+                    .run()
+                    .expect("ablation dictionary campaign runs")
+                    .into_single();
+                row.dictionary.push(dict.report.packets_sent);
+                row.dictionary_detected += usize::from(dict.report.vulnerable());
+
+                let fb = Campaign::builder()
+                    .target(DeviceProfile::table5(id))
+                    .feedback(FeedbackConfig::default())
+                    .seed(seed)
+                    .run()
+                    .expect("ablation feedback campaign runs")
+                    .into_single();
+                row.feedback.push(fb.report.packets_sent);
+                row.feedback_detected += usize::from(fb.report.vulnerable());
+            }
+            row
+        })
+        .collect()
 }
 
 /// Packet budget used by the experiment binaries.  The paper uses 100,000
