@@ -1,18 +1,176 @@
 //! The L2Fuzz session: orchestration of the four phases (Fig. 5).
+//!
+//! [`L2FuzzSession::run_plan`] is the one driver of the phases: it scans the
+//! target, guides it into each state a [`PacketPlan`] picks, sends the
+//! plan's test packets, checks the target after every one of them and
+//! assembles the [`FuzzReport`].  The plan decides only which states to
+//! visit and which packet to send next.  Two plans exist: the paper's
+//! [`DictionaryPlan`] (reachable states × [`CoreFieldMutator::generate`]) and
+//! the coverage-guided plan of the `feedback` crate.  [`run_rounds`] repeats
+//! sessions inside a [`FuzzCtx`] and merges their reports; [`L2FuzzTool`]
+//! and the feedback fuzzer are both thin shells over it.
 
-use btcore::{DeviceMeta, FuzzRng, SimClock, TargetOracle};
+use btcore::{DeviceMeta, FuzzRng, LinkType, SimClock, TargetOracle};
 use hci::medium::LinkHandle;
+use l2cap::code::CommandCode;
 use l2cap::jobs::job_of;
+use l2cap::packet::SignalingPacket;
 use l2cap::state::ChannelState;
 
 use crate::config::FuzzConfig;
 use crate::detector::{DetectionVerdict, VulnerabilityDetector};
-use crate::fuzzer::Fuzzer;
+use crate::fuzzer::{FuzzCtx, Fuzzer};
 use crate::guide::{ChannelContext, StateGuide};
 use crate::mutator::CoreFieldMutator;
-use crate::queue::{PacketKind, PacketQueue};
+use crate::queue::{PacketKind, PacketQueue, SendOutcome};
 use crate::report::{FuzzReport, VulnerabilityFinding};
 use crate::scanner::TargetScanner;
+
+/// Which states a session visits and which test packet it sends next.
+///
+/// The driver ([`L2FuzzSession::run_plan`]) calls the hooks in a fixed
+/// order: [`PacketPlan::arm`] once per session, then for every state
+/// [`PacketPlan::next_state`], the guide's transition, [`PacketPlan::park`]
+/// and [`PacketPlan::next_packet`] until it returns `None`, with
+/// [`PacketPlan::observe`] after each packet is sent.  A plan is reused
+/// across the sessions of [`run_rounds`], so it may carry what it learned
+/// from one round into the next.
+pub trait PacketPlan {
+    /// The tool name written into the report.
+    fn name(&self) -> &'static str;
+
+    /// Prepares one session on a `link` target.  `mutator` is the session
+    /// RNG's first fork (label 1), configured from `config`; a plan that
+    /// needs randomness of its own forks it from `rng` here.
+    fn arm(
+        &mut self,
+        config: &FuzzConfig,
+        link: LinkType,
+        rng: &mut FuzzRng,
+        mutator: &mut CoreFieldMutator,
+    );
+
+    /// The next state to visit, or `None` when the session is done.
+    fn next_state(&mut self) -> Option<ChannelState>;
+
+    /// Whether the guide drives the target into each state.  When `false`
+    /// the packets are sent on a closed channel without any transition.
+    fn guided(&self) -> bool {
+        true
+    }
+
+    /// The target sits in `state` on channel `ctx`: prepare its packets.
+    fn park(
+        &mut self,
+        state: ChannelState,
+        ctx: &ChannelContext,
+        mutator: &mut CoreFieldMutator,
+        guide: &mut StateGuide,
+    );
+
+    /// The next test packet for the parked state, or `None` to leave it.
+    /// Identifiers come from `guide`, which numbers the transitions too.
+    fn next_packet(
+        &mut self,
+        ctx: &ChannelContext,
+        mutator: &mut CoreFieldMutator,
+        guide: &mut StateGuide,
+    ) -> Option<SignalingPacket>;
+
+    /// Sees what a sent test packet got back, before the detector runs.
+    fn observe(&mut self, _outcome: &SendOutcome) {}
+}
+
+/// The paper's plan: every state reachable on the link, each with
+/// `packets_per_command` mutations of every valid command, generated in one
+/// [`CoreFieldMutator::generate`] call from one identifier.  Without state
+/// guiding it visits only the closed state, with every command.
+pub struct DictionaryPlan {
+    config: FuzzConfig,
+    link: LinkType,
+    states: std::slice::Iter<'static, ChannelState>,
+    packets: std::vec::IntoIter<SignalingPacket>,
+}
+
+impl Default for DictionaryPlan {
+    /// An unarmed plan; [`PacketPlan::arm`] sets the configuration and link.
+    fn default() -> Self {
+        DictionaryPlan {
+            config: FuzzConfig::default(),
+            link: LinkType::BrEdr,
+            states: [].iter(),
+            packets: Vec::new().into_iter(),
+        }
+    }
+}
+
+impl PacketPlan for DictionaryPlan {
+    fn name(&self) -> &'static str {
+        "L2Fuzz"
+    }
+
+    fn arm(
+        &mut self,
+        config: &FuzzConfig,
+        link: LinkType,
+        _rng: &mut FuzzRng,
+        _mutator: &mut CoreFieldMutator,
+    ) {
+        self.config = config.clone();
+        self.link = link;
+        // An LE target exposes the credit-based subset of the states.
+        let states: &'static [ChannelState] = match (config.state_guiding, link) {
+            (false, _) => &[ChannelState::Closed],
+            (true, LinkType::BrEdr) => &ChannelState::REACHABLE_FROM_INITIATOR,
+            (true, LinkType::Le) => &ChannelState::REACHABLE_FROM_INITIATOR_LE,
+        };
+        self.states = states.iter();
+    }
+
+    fn next_state(&mut self) -> Option<ChannelState> {
+        self.states.next().copied()
+    }
+
+    fn guided(&self) -> bool {
+        self.config.state_guiding
+    }
+
+    fn park(
+        &mut self,
+        state: ChannelState,
+        ctx: &ChannelContext,
+        mutator: &mut CoreFieldMutator,
+        guide: &mut StateGuide,
+    ) {
+        let job = job_of(state);
+        let commands = if !self.config.state_guiding {
+            // Without state guiding, commands are picked at random per
+            // packet (dumb strategy used by the ablation).
+            CommandCode::ALL.to_vec()
+        } else if self.config.generous_boundaries {
+            job.generous_valid_commands_on(self.link)
+        } else {
+            job.valid_commands_on(self.link)
+        };
+        self.packets = mutator
+            .generate(
+                &commands,
+                self.config.packets_per_command,
+                ctx,
+                guide.next_identifier(),
+            )
+            .into_iter();
+    }
+
+    fn next_packet(
+        &mut self,
+        _ctx: &ChannelContext,
+        _mutator: &mut CoreFieldMutator,
+        _guide: &mut StateGuide,
+    ) -> Option<SignalingPacket> {
+        self.packets.next()
+    }
+}
 
 /// A full L2Fuzz campaign against one target device.
 pub struct L2FuzzSession {
@@ -44,7 +202,8 @@ impl L2FuzzSession {
         &self.config
     }
 
-    /// Runs the campaign over an established link.
+    /// Runs the paper's campaign ([`DictionaryPlan`]) over an established
+    /// link.
     ///
     /// `oracle` is the optional out-of-band view of the target (crash dumps
     /// and service status); without it the detector still works from the
@@ -53,7 +212,19 @@ impl L2FuzzSession {
         &mut self,
         link: &mut LinkHandle,
         meta: DeviceMeta,
+        oracle: Option<&mut dyn TargetOracle>,
+    ) -> FuzzReport {
+        self.run_plan(link, meta, oracle, &mut DictionaryPlan::default())
+    }
+
+    /// Runs the four phases over an established link, visiting the states
+    /// and sending the packets `plan` chooses.
+    pub fn run_plan(
+        &mut self,
+        link: &mut LinkHandle,
+        meta: DeviceMeta,
         mut oracle: Option<&mut dyn TargetOracle>,
+        plan: &mut dyn PacketPlan,
     ) -> FuzzReport {
         let started = self.clock.now().as_secs();
         let link_type = meta.link_type;
@@ -68,6 +239,7 @@ impl L2FuzzSession {
         );
         mutator.set_link(link_type);
         mutator.set_config_option_mutation(self.config.mutate_config_options);
+        plan.arm(&self.config, link_type, &mut rng, &mut mutator);
         let mut detector = VulnerabilityDetector::new_on(link_type).with_retry(self.retry);
         let mut queue = PacketQueue::new();
 
@@ -76,7 +248,7 @@ impl L2FuzzSession {
         let psm = scan.chosen_port.unwrap_or(btcore::Psm::SDP);
 
         let mut report = FuzzReport {
-            fuzzer: "L2Fuzz".to_owned(),
+            fuzzer: plan.name().to_owned(),
             target: meta,
             scan,
             states_tested: Vec::new(),
@@ -86,23 +258,13 @@ impl L2FuzzSession {
             elapsed_secs: 0,
         };
 
-        // Phases 2-4, repeated per reachable state (of the target's link
-        // type — an LE target exposes the credit-based subset).
-        let states: Vec<ChannelState> = if self.config.state_guiding {
-            match link_type {
-                btcore::LinkType::BrEdr => ChannelState::REACHABLE_FROM_INITIATOR.to_vec(),
-                btcore::LinkType::Le => ChannelState::REACHABLE_FROM_INITIATOR_LE.to_vec(),
-            }
-        } else {
-            vec![ChannelState::Closed]
-        };
-
-        'states: for state in states {
+        // Phases 2-4, repeated per state the plan picks.
+        'states: while let Some(state) = plan.next_state() {
             // Phase 2: state guiding.
-            let ctx = if self.config.state_guiding {
+            let ctx = if plan.guided() {
                 let driven = match link_type {
-                    btcore::LinkType::BrEdr => guide.drive_to(link, psm, state),
-                    btcore::LinkType::Le => guide.drive_to_le(link, psm, state),
+                    LinkType::BrEdr => guide.drive_to(link, psm, state),
+                    LinkType::Le => guide.drive_to_le(link, psm, state),
                 };
                 match driven {
                     Some(ctx) => ctx,
@@ -115,26 +277,10 @@ impl L2FuzzSession {
 
             // Phase 3: core field mutating.
             let job = job_of(state);
-            let commands = if self.config.state_guiding {
-                if self.config.generous_boundaries {
-                    job.generous_valid_commands_on(link_type)
-                } else {
-                    job.valid_commands_on(link_type)
-                }
-            } else {
-                // Without state guiding, commands are picked at random per
-                // packet (dumb strategy used by the ablation).
-                l2cap::code::CommandCode::ALL.to_vec()
-            };
-            let packets = mutator.generate(
-                &commands,
-                self.config.packets_per_command,
-                &ctx,
-                guide.next_identifier(),
-            );
+            plan.park(state, &ctx, &mut mutator, &mut guide);
 
             // Phase 4: transmit and detect.
-            for packet in packets {
+            while let Some(packet) = plan.next_packet(&ctx, &mut mutator, &mut guide) {
                 if self.config.max_packets > 0
                     && queue.sent() + guide.transition_packets_sent() + detector.pings_sent()
                         >= self.config.max_packets as u64
@@ -143,6 +289,7 @@ impl L2FuzzSession {
                 }
                 let outcome = queue.send_now(link, &packet, PacketKind::Malformed);
                 report.malformed_sent += 1;
+                plan.observe(&outcome);
                 let verdict = match oracle {
                     Some(ref mut o) => detector.check(link, Some(&mut **o), outcome.silent),
                     None => detector.check(link, None, outcome.silent),
@@ -151,8 +298,8 @@ impl L2FuzzSession {
                     let finding = VulnerabilityFinding {
                         state,
                         job,
-                        command: l2cap::code::CommandCode::from_u8(packet.code)
-                            .unwrap_or(l2cap::code::CommandCode::CommandReject),
+                        command: CommandCode::from_u8(packet.code)
+                            .unwrap_or(CommandCode::CommandReject),
                         packet_hex: btcore::codec::hex_dump(&packet.to_bytes()),
                         evidence,
                         elapsed_secs: self.clock.now().as_secs().saturating_sub(started),
@@ -175,11 +322,87 @@ impl L2FuzzSession {
     }
 }
 
+/// Runs sessions of `plan` back to back inside `ctx`, at most `max_rounds`
+/// of them, and merges their reports into one.
+///
+/// Round `k` runs `config` with a seed from the context's per-target seed
+/// stream: domain-separated under `domain` (each tool has its own label), so
+/// the round seeds never replay the raw per-target seed that drives the
+/// simulated device's own RNG.  The configured seed stays a real input —
+/// two tools with different config seeds diverge under the same campaign
+/// seed.  Each round's packet cap is clamped to the budget left.  The loop
+/// ends when the budget is spent, after a round with a finding (if
+/// `config.stop_at_first_vulnerability`), or after a round that sent
+/// nothing (target down).  Returns `None` if no round ran.
+pub fn run_rounds(
+    ctx: &mut FuzzCtx<'_>,
+    config: &FuzzConfig,
+    domain: u64,
+    max_rounds: usize,
+    plan: &mut dyn PacketPlan,
+) -> Option<FuzzReport> {
+    let mut merged: Option<FuzzReport> = None;
+    for round in 0..max_rounds as u64 {
+        let remaining = ctx.remaining();
+        if remaining == Some(0) {
+            break;
+        }
+        let mut round_config = config.clone();
+        round_config.seed = ctx.stream_seed(config.seed ^ domain).wrapping_add(round);
+        if let Some(remaining) = remaining {
+            round_config.max_packets = if round_config.max_packets == 0 {
+                remaining as usize
+            } else {
+                round_config.max_packets.min(remaining as usize)
+            };
+        }
+        let before = ctx.link.frames_sent();
+        let round_start_secs = ctx.clock.now().as_secs();
+        let meta = ctx.meta.clone();
+        let mut session = L2FuzzSession::new(round_config, ctx.clock.clone()).with_retry(ctx.retry);
+        let (link, oracle) = ctx.link_and_oracle();
+        let mut report = session.run_plan(link, meta, oracle, plan);
+        // Report elapsed times relative to the whole experiment (the
+        // environment's clock), not just this round: the session stamped
+        // each finding with its round-relative detection time.
+        report.elapsed_secs = ctx.clock.now().as_secs();
+        for finding in &mut report.findings {
+            finding.elapsed_secs += round_start_secs;
+        }
+        let vulnerable = report.vulnerable();
+        let stalled = ctx.link.frames_sent() == before;
+        // Merge rounds instead of keeping only the last one: in comparison
+        // mode a finding from an early round must survive the
+        // budget-burning rounds that follow it.
+        match merged {
+            None => merged = Some(report),
+            Some(ref mut total) => {
+                total.packets_sent += report.packets_sent;
+                total.malformed_sent += report.malformed_sent;
+                for state in report.states_tested {
+                    if !total.states_tested.contains(&state) {
+                        total.states_tested.push(state);
+                    }
+                }
+                total.findings.extend(report.findings);
+                total.elapsed_secs = report.elapsed_secs;
+            }
+        }
+        if (vulnerable && config.stop_at_first_vulnerability) || stalled {
+            break;
+        }
+    }
+    merged
+}
+
+/// Domain label of the dictionary tool's round-seed stream (0x4C32 = "L2").
+const DICTIONARY_DOMAIN: u64 = 0x4C32;
+
 /// [`Fuzzer`]-trait adapter over [`L2FuzzSession`], used by every campaign.
 ///
-/// The tool runs sessions back to back inside its [`FuzzCtx`], deriving each
-/// round's seed from the context's per-target seed stream.  Two standing
-/// configurations cover the paper's experiments:
+/// The tool runs [`DictionaryPlan`] sessions back to back through
+/// [`run_rounds`].  Two standing configurations cover the paper's
+/// experiments:
 ///
 /// * [`L2FuzzTool::detection`] — Table VI methodology: repeat campaigns
 ///   (with the out-of-band oracle from the context) until a vulnerability is
@@ -218,73 +441,14 @@ impl Fuzzer for L2FuzzTool {
         "L2Fuzz"
     }
 
-    fn fuzz(&mut self, ctx: &mut crate::fuzzer::FuzzCtx<'_>) -> Option<FuzzReport> {
-        let mut merged: Option<FuzzReport> = None;
-        let mut round = 0u64;
-        while (round as usize) < self.max_rounds {
-            let remaining = ctx.remaining();
-            if remaining == Some(0) {
-                break;
-            }
-            let mut config = self.config.clone();
-            // Domain-separated session seed: the raw per-target seed drives
-            // the simulated device's own RNG, so round seeds come from an
-            // independent stream (0x4C32 = "L2").  The configured seed stays
-            // a real input — two tools with different config seeds diverge
-            // under the same campaign seed.
-            config.seed = ctx
-                .stream_seed(self.config.seed ^ 0x4C32)
-                .wrapping_add(round);
-            if let Some(remaining) = remaining {
-                config.max_packets = if config.max_packets == 0 {
-                    remaining as usize
-                } else {
-                    config.max_packets.min(remaining as usize)
-                };
-            }
-            let before = ctx.link.frames_sent();
-            let round_start_secs = ctx.clock.now().as_secs();
-            let meta = ctx.meta.clone();
-            let mut session = L2FuzzSession::new(config, ctx.clock.clone()).with_retry(ctx.retry);
-            let (link, oracle) = ctx.link_and_oracle();
-            let mut report = session.run(link, meta, oracle);
-            // Report elapsed times relative to the whole experiment (the
-            // environment's clock), not just this round: the session stamped
-            // each finding with its round-relative detection time.
-            report.elapsed_secs = ctx.clock.now().as_secs();
-            for finding in &mut report.findings {
-                finding.elapsed_secs += round_start_secs;
-            }
-            let vulnerable = report.vulnerable();
-            let stalled = ctx.link.frames_sent() == before;
-            // Merge rounds instead of keeping only the last one: in
-            // comparison mode a finding from an early round must survive the
-            // budget-burning rounds that follow it.
-            match merged {
-                None => merged = Some(report),
-                Some(ref mut total) => {
-                    total.packets_sent += report.packets_sent;
-                    total.malformed_sent += report.malformed_sent;
-                    for state in report.states_tested {
-                        if !total.states_tested.contains(&state) {
-                            total.states_tested.push(state);
-                        }
-                    }
-                    total.findings.extend(report.findings);
-                    total.elapsed_secs = report.elapsed_secs;
-                }
-            }
-            round += 1;
-            if vulnerable && self.config.stop_at_first_vulnerability {
-                break;
-            }
-            if stalled {
-                // Nothing went out this round (target down) — stop burning
-                // the budget.
-                break;
-            }
-        }
-        merged
+    fn fuzz(&mut self, ctx: &mut FuzzCtx<'_>) -> Option<FuzzReport> {
+        run_rounds(
+            ctx,
+            &self.config,
+            DICTIONARY_DOMAIN,
+            self.max_rounds,
+            &mut DictionaryPlan::default(),
+        )
     }
 }
 

@@ -1,38 +1,38 @@
-//! The coverage-guided fuzzer: the session engine re-run under feedback.
+//! The coverage-guided fuzzer: the session driver under a feedback plan.
 //!
-//! [`FeedbackFuzzer`] keeps the paper's four phases (scan → guide → mutate →
-//! detect) but replaces the fixed per-state packet count with an
-//! [`EnergySchedule`] and mixes the dictionary mutator with corpus replay:
-//! each test packet is either a fresh dictionary mutation or one of the
-//! splice / havoc / resend-with-field-mutation operators applied to a
-//! retained [`CorpusEntry`] of the current state.  Every random decision
-//! derives from the campaign's per-target seed stream (domain label
-//! `0xFEED`), so feedback campaigns replay bit-for-bit at any executor
-//! parallelism.
+//! [`FeedbackFuzzer`] runs the same four-phase driver as the dictionary
+//! tool ([`L2FuzzSession::run_plan`](l2fuzz::session::L2FuzzSession::run_plan),
+//! through [`run_rounds`]) with a different packet plan.  Instead of a
+//! fixed packet count per state, an [`EnergySchedule`] divides each round's
+//! pool across the states, and each test packet is either a fresh
+//! dictionary mutation or one of the splice / havoc /
+//! resend-with-field-mutation operators applied to a retained
+//! [`CorpusEntry`] of the current state.  Every packet's outcome feeds the
+//! coverage signature that decides what the corpus retains.  Every random
+//! decision derives from the campaign's per-target seed stream (domain
+//! label `0xFEED`), so feedback campaigns replay bit-for-bit at any
+//! executor parallelism.
 
 use std::collections::BTreeMap;
 
-use btcore::{FuzzRng, SimClock, TargetOracle};
+use btcore::{FuzzRng, LinkType};
 use hci::link::Direction;
-use hci::medium::LinkHandle;
 use l2cap::code::CommandCode;
 use l2cap::jobs::job_of;
 use l2cap::packet::SignalingPacket;
 use l2cap::state::ChannelState;
 use l2fuzz::config::FuzzConfig;
-use l2fuzz::detector::{DetectionVerdict, VulnerabilityDetector};
 use l2fuzz::fuzzer::{FuzzCtx, Fuzzer};
 use l2fuzz::guide::{ChannelContext, StateGuide};
 use l2fuzz::mutator::CoreFieldMutator;
-use l2fuzz::queue::{PacketKind, PacketQueue};
-use l2fuzz::report::{FuzzReport, VulnerabilityFinding};
-use l2fuzz::retry::RetryPolicy;
-use l2fuzz::scanner::TargetScanner;
+use l2fuzz::queue::SendOutcome;
+use l2fuzz::report::FuzzReport;
+use l2fuzz::session::{run_rounds, PacketPlan};
 use sniffer::coverage::CoverageBuilder;
 
 use crate::corpus::{CorpusEntry, FeedbackCorpus, NoveltyKey, ResponseClass};
 use crate::hub::CorpusHub;
-use crate::schedule::EnergySchedule;
+use crate::schedule::{EnergyAllocation, EnergySchedule};
 
 /// Domain-separation label for the feedback round-seed stream (disjoint from
 /// the session engine's `0x4C32` stream, so a feedback campaign and a
@@ -115,16 +115,20 @@ impl FeedbackConfig {
 /// [`crate::FeedbackCampaignExt::feedback`].
 pub struct FeedbackFuzzer {
     config: FeedbackConfig,
-    corpus: FeedbackCorpus,
-    visits: BTreeMap<ChannelState, u64>,
+    plan: FeedbackPlan,
 }
 
 impl FeedbackFuzzer {
     /// Creates a fuzzer starting from the configuration's seed corpus.
     pub fn new(config: FeedbackConfig) -> FeedbackFuzzer {
         FeedbackFuzzer {
-            corpus: config.seed_corpus.clone(),
-            visits: BTreeMap::new(),
+            plan: FeedbackPlan {
+                corpus: config.seed_corpus.clone(),
+                visits: BTreeMap::new(),
+                corpus_ratio: config.corpus_ratio,
+                round_budget: config.round_budget,
+                round: None,
+            },
             config,
         }
     }
@@ -132,7 +136,7 @@ impl FeedbackFuzzer {
     /// The corpus accumulated so far (the seed corpus plus everything this
     /// fuzzer retained).
     pub fn corpus(&self) -> &FeedbackCorpus {
-        &self.corpus
+        &self.plan.corpus
     }
 }
 
@@ -142,228 +146,154 @@ impl Fuzzer for FeedbackFuzzer {
     }
 
     fn fuzz(&mut self, ctx: &mut FuzzCtx<'_>) -> Option<FuzzReport> {
-        let mut merged: Option<FuzzReport> = None;
-        let mut round = 0u64;
-        while (round as usize) < self.config.max_rounds {
-            let remaining = ctx.remaining();
-            if remaining == Some(0) {
-                break;
-            }
-            let mut config = self.config.base.clone();
-            // Domain-separated round seed, mirroring the dictionary tool's
-            // round-seed derivation but on an independent stream.
-            config.seed = ctx
-                .stream_seed(self.config.base.seed ^ FEEDBACK_DOMAIN)
-                .wrapping_add(round);
-            if let Some(remaining) = remaining {
-                config.max_packets = if config.max_packets == 0 {
-                    remaining as usize
-                } else {
-                    config.max_packets.min(remaining as usize)
-                };
-            }
-            let before = ctx.link.frames_sent();
-            let round_start_secs = ctx.clock.now().as_secs();
-            let meta = ctx.meta.clone();
-            let clock = ctx.clock.clone();
-            let retry = ctx.retry;
-            let round_budget = self.config.round_budget;
-            let corpus_ratio = self.config.corpus_ratio;
-            let corpus = &mut self.corpus;
-            let visits = &mut self.visits;
-            let (link, oracle) = ctx.link_and_oracle();
-            let mut round_ctx = RoundCtx {
-                config,
-                clock,
-                retry,
-                round_budget,
-                corpus_ratio,
-                corpus,
-                visits,
-            };
-            let mut report = round_ctx.run(link, meta, oracle);
-            report.elapsed_secs = ctx.clock.now().as_secs();
-            for finding in &mut report.findings {
-                finding.elapsed_secs += round_start_secs;
-            }
-            let vulnerable = report.vulnerable();
-            let stalled = ctx.link.frames_sent() == before;
-            match merged {
-                None => merged = Some(report),
-                Some(ref mut total) => {
-                    total.packets_sent += report.packets_sent;
-                    total.malformed_sent += report.malformed_sent;
-                    for state in report.states_tested {
-                        if !total.states_tested.contains(&state) {
-                            total.states_tested.push(state);
-                        }
-                    }
-                    total.findings.extend(report.findings);
-                    total.elapsed_secs = report.elapsed_secs;
-                }
-            }
-            round += 1;
-            if vulnerable && self.config.base.stop_at_first_vulnerability {
-                break;
-            }
-            if stalled {
-                break;
-            }
-        }
+        let merged = run_rounds(
+            ctx,
+            &self.config.base,
+            FEEDBACK_DOMAIN,
+            self.config.max_rounds,
+            &mut self.plan,
+        );
         if let Some(hub) = &self.config.hub {
-            hub.publish(ctx.seed, &self.corpus);
+            hub.publish(ctx.seed, &self.plan.corpus);
         }
         merged
     }
 }
 
-/// One feedback round: the four-phase session loop under an energy schedule,
-/// with corpus retention and replay.
-struct RoundCtx<'a> {
-    config: FuzzConfig,
-    clock: SimClock,
-    retry: RetryPolicy,
-    round_budget: u64,
+/// The feedback packet plan: energy-scheduled states, corpus-mixed packets,
+/// and corpus admission from each packet's observed outcome.  The corpus
+/// and the visit counts persist across rounds; everything else lives in
+/// the per-session [`Round`].
+struct FeedbackPlan {
+    corpus: FeedbackCorpus,
+    visits: BTreeMap<ChannelState, u64>,
     corpus_ratio: f64,
-    corpus: &'a mut FeedbackCorpus,
-    visits: &'a mut BTreeMap<ChannelState, u64>,
+    round_budget: u64,
+    round: Option<Round>,
 }
 
-impl RoundCtx<'_> {
-    fn run(
+/// One session of the feedback plan.
+struct Round {
+    link: LinkType,
+    /// Corpus-operator and command picks (the session RNG's second fork).
+    pick_rng: FuzzRng,
+    coverage: CoverageBuilder,
+    allocations: std::vec::IntoIter<EnergyAllocation>,
+    /// The state being fuzzed and the packets it has left.
+    parked: EnergyAllocation,
+    commands: Vec<CommandCode>,
+}
+
+impl FeedbackPlan {
+    fn round(&mut self) -> &mut Round {
+        self.round.as_mut().expect("the driver arms the plan first")
+    }
+}
+
+impl PacketPlan for FeedbackPlan {
+    fn name(&self) -> &'static str {
+        "L2Fuzz+feedback"
+    }
+
+    fn arm(
         &mut self,
-        link: &mut LinkHandle,
-        meta: btcore::DeviceMeta,
-        mut oracle: Option<&mut dyn TargetOracle>,
-    ) -> FuzzReport {
-        let started = self.clock.now().as_secs();
-        let link_type = meta.link_type;
-        let mut rng = FuzzRng::seed_from(self.config.seed);
-        let mut scanner = TargetScanner::new();
-        let mut guide = StateGuide::new().with_retry(self.retry);
-        let mut mutator = CoreFieldMutator::with_options(
-            rng.fork(1),
-            self.config.core_fields_only,
-            self.config.append_garbage,
-            self.config.max_garbage_len,
-        );
-        mutator.set_link(link_type);
+        config: &FuzzConfig,
+        link: LinkType,
+        rng: &mut FuzzRng,
+        mutator: &mut CoreFieldMutator,
+    ) {
         // Feedback mode always mutates configuration options on classic
         // links: the retransmission-mode surface lives behind the deep
         // CONFIG/OPEN parks the scheduler favours, exactly where corpus
         // replay pays off.
-        mutator.set_config_option_mutation(self.config.mutate_config_options || !link_type.is_le());
-        let mut pick_rng = rng.fork(2);
-        let mut detector = VulnerabilityDetector::new_on(link_type).with_retry(self.retry);
-        let mut queue = PacketQueue::new();
-        let mut coverage = CoverageBuilder::for_link(link_type);
-
-        let scan = scanner.scan(meta.clone(), link);
-        let psm = scan.chosen_port.unwrap_or(btcore::Psm::SDP);
-
-        let mut report = FuzzReport {
-            fuzzer: "L2Fuzz+feedback".to_owned(),
-            target: meta,
-            scan,
-            states_tested: Vec::new(),
-            packets_sent: 0,
-            malformed_sent: 0,
-            findings: Vec::new(),
-            elapsed_secs: 0,
-        };
-
-        let budget = if self.config.max_packets > 0 {
-            self.round_budget.min(self.config.max_packets as u64)
+        mutator.set_config_option_mutation(config.mutate_config_options || !link.is_le());
+        let budget = if config.max_packets > 0 {
+            self.round_budget.min(config.max_packets as u64)
         } else {
             self.round_budget
         };
-        let schedule = EnergySchedule::plan(link_type, self.visits, budget);
+        let schedule = EnergySchedule::plan(link, &self.visits, budget);
+        self.round = Some(Round {
+            link,
+            pick_rng: rng.fork(2),
+            coverage: CoverageBuilder::for_link(link),
+            allocations: schedule.allocations().to_vec().into_iter(),
+            parked: EnergyAllocation {
+                state: ChannelState::Closed,
+                packets: 0,
+            },
+            commands: Vec::new(),
+        });
+    }
 
-        'states: for alloc in schedule.allocations() {
-            let state = alloc.state;
-            // Count the attempt (not the success): a state whose prelude
-            // keeps failing must not hoard energy forever.
-            *self.visits.entry(state).or_insert(0) += 1;
-            let ctx = match link_type {
-                btcore::LinkType::BrEdr => guide.drive_to(link, psm, state),
-                btcore::LinkType::Le => guide.drive_to_le(link, psm, state),
-            };
-            let ctx = match ctx {
-                Some(ctx) => ctx,
-                None => continue,
-            };
-            report.states_tested.push(state);
-            let job = job_of(state);
-            let commands = job.generous_valid_commands_on(link_type);
+    fn next_state(&mut self) -> Option<ChannelState> {
+        let round = self.round();
+        let alloc = round.allocations.next()?;
+        round.parked = alloc;
+        // Count the attempt (not the success): a state whose prelude keeps
+        // failing must not hoard energy forever.
+        *self.visits.entry(alloc.state).or_insert(0) += 1;
+        Some(alloc.state)
+    }
 
-            for _ in 0..alloc.packets {
-                if self.config.max_packets > 0
-                    && queue.sent() + guide.transition_packets_sent() + detector.pings_sent()
-                        >= self.config.max_packets as u64
-                {
-                    break 'states;
-                }
-                let identifier = guide.next_identifier();
-                let packet = next_packet(
-                    self.corpus,
-                    &mut mutator,
-                    &mut pick_rng,
-                    self.corpus_ratio,
-                    &commands,
-                    state,
-                    link_type,
-                    &ctx,
-                    identifier,
-                );
-                coverage.saw_tx_signaling();
-                coverage.observe(Direction::Tx, &packet);
-                let outcome = queue.send_now(link, &packet, PacketKind::Malformed);
-                report.malformed_sent += 1;
-                for response in &outcome.responses {
-                    coverage.observe(
-                        Direction::Rx,
-                        &SignalingPacket::new(packet.identifier, response.clone()),
-                    );
-                }
-                let key = NoveltyKey {
-                    signature: coverage.signature_snapshot(),
-                    class: ResponseClass::of(&outcome),
-                };
-                if !self.corpus.contains(key) {
-                    self.corpus.consider(CorpusEntry {
-                        state,
-                        link: link_type,
-                        wire: packet.to_bytes(),
-                        key,
-                    });
-                }
-                let verdict = match oracle {
-                    Some(ref mut o) => detector.check(link, Some(&mut **o), outcome.silent),
-                    None => detector.check(link, None, outcome.silent),
-                };
-                if let DetectionVerdict::Vulnerable(evidence) = verdict {
-                    report.findings.push(VulnerabilityFinding {
-                        state,
-                        job,
-                        command: CommandCode::from_u8(packet.code)
-                            .unwrap_or(CommandCode::CommandReject),
-                        packet_hex: btcore::codec::hex_dump(&packet.to_bytes()),
-                        evidence,
-                        elapsed_secs: self.clock.now().as_secs().saturating_sub(started),
-                    });
-                    if self.config.stop_at_first_vulnerability {
-                        break 'states;
-                    }
-                }
-            }
+    fn park(
+        &mut self,
+        state: ChannelState,
+        _ctx: &ChannelContext,
+        _mutator: &mut CoreFieldMutator,
+        _guide: &mut StateGuide,
+    ) {
+        let round = self.round();
+        round.commands = job_of(state).generous_valid_commands_on(round.link);
+    }
 
-            guide.disconnect(link, ctx);
+    fn next_packet(
+        &mut self,
+        ctx: &ChannelContext,
+        mutator: &mut CoreFieldMutator,
+        guide: &mut StateGuide,
+    ) -> Option<SignalingPacket> {
+        let round = self.round.as_mut().expect("the driver arms the plan first");
+        if round.parked.packets == 0 {
+            return None;
         }
+        round.parked.packets -= 1;
+        Some(draw_packet(
+            &self.corpus,
+            mutator,
+            &mut round.pick_rng,
+            self.corpus_ratio,
+            &round.commands,
+            round.parked.state,
+            round.link,
+            ctx,
+            guide.next_identifier(),
+        ))
+    }
 
-        report.packets_sent =
-            queue.sent() + guide.transition_packets_sent() + detector.pings_sent();
-        report.elapsed_secs = self.clock.now().as_secs().saturating_sub(started);
-        report
+    fn observe(&mut self, outcome: &SendOutcome) {
+        let round = self.round.as_mut().expect("the driver arms the plan first");
+        let packet = &outcome.packet;
+        round.coverage.saw_tx_signaling();
+        round.coverage.observe(Direction::Tx, packet);
+        for response in &outcome.responses {
+            round.coverage.observe(
+                Direction::Rx,
+                &SignalingPacket::new(packet.identifier, response.clone()),
+            );
+        }
+        let key = NoveltyKey {
+            signature: round.coverage.signature_snapshot(),
+            class: ResponseClass::of(outcome),
+        };
+        if !self.corpus.contains(key) {
+            self.corpus.consider(CorpusEntry {
+                state: round.parked.state,
+                link: round.link,
+                wire: packet.to_bytes(),
+                key,
+            });
+        }
     }
 }
 
@@ -371,7 +301,7 @@ impl RoundCtx<'_> {
 /// with probability `corpus_ratio` when the current state has retained
 /// entries, a dictionary mutation otherwise.
 #[allow(clippy::too_many_arguments)]
-fn next_packet(
+fn draw_packet(
     corpus: &FeedbackCorpus,
     mutator: &mut CoreFieldMutator,
     rng: &mut FuzzRng,

@@ -4,7 +4,11 @@
 //! a mutated packet achieved.  The sniffer already computes per-trace state
 //! coverage ([`sniffer::StateCoverage`]), and the protocol model gives a
 //! minimal witness prelude per reachable state
-//! ([`analysis::fuzz_plans`]) — this crate closes the loop between them:
+//! ([`analysis::fuzz_plans`]) — this crate closes the loop between them.
+//! It adds no second engine: the session driver of the `l2fuzz` crate
+//! ([`l2fuzz::session::L2FuzzSession::run_plan`]) runs both, with the
+//! paper's dictionary plan or with this crate's feedback plan, which picks
+//! the states and packets from the pieces below.
 //!
 //! * [`FeedbackCorpus`] retains every mutated packet whose observed outcome
 //!   reached a *new* `(state-coverage signature, response class)` pair, in
@@ -13,10 +17,10 @@
 //! * [`EnergySchedule`] divides each round's transmission budget across the
 //!   reachable states, weighting by under-visitation and by witness/prelude
 //!   depth, so deep states get proportionally more energy.
-//! * [`FeedbackFuzzer`] is a drop-in [`l2fuzz::Fuzzer`] that splices corpus
-//!   entries with dictionary mutation (splice / havoc /
-//!   resend-with-field-mutation), selectable on any campaign via
-//!   [`FeedbackCampaignExt::feedback`].
+//! * [`FeedbackFuzzer`] is a drop-in [`l2fuzz::Fuzzer`] running the
+//!   feedback plan, which splices corpus entries with dictionary mutation
+//!   (splice / havoc / resend-with-field-mutation), selectable on any
+//!   campaign via [`FeedbackCampaignExt::feedback`].
 //! * [`CorpusHub`] pools novelty across the units of a
 //!   [`l2fuzz::campaign::SeedSweepExecutor`] without breaking per-seed
 //!   isolation: units publish as they finish and the hub merges in canonical
