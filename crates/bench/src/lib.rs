@@ -5,8 +5,8 @@
 //! binary in `src/bin/`; the functions here do the actual work so the
 //! binaries stay thin and the Criterion benches can reuse the same code
 //! paths.  All of them drive fuzzing through the unified
-//! [`l2fuzz::campaign::Campaign`] API — no experiment wires an `AirMedium`
-//! by hand anymore.
+//! [`l2fuzz::campaign::Campaign`] API — no experiment wires a medium by
+//! hand.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,8 @@
 //! The deterministic event core of the asynchronous medium.
 //!
-//! PR 5 replaces the synchronous `AirMedium` call chain with an
-//! event-driven medium: every frame exchange is an *event* with a virtual
-//! timestamp, and events fire in a total order that is a pure function of
-//! the campaign seed — never of OS scheduling.  [`EventScheduler`] is the
+//! The medium is event-driven: every frame exchange is an *event* with a
+//! virtual timestamp, and events fire in a total order that is a pure
+//! function of the campaign seed — never of OS scheduling.  [`EventScheduler`] is the
 //! ordered queue of pending events that makes this work: each link
 //! registers as an *event source* with its own virtual-time lower bound,
 //! and a source may fire only while it holds the global minimum

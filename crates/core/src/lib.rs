@@ -18,10 +18,13 @@
 //!    responses for connection errors, ping it with L2CAP echo requests and
 //!    collect crash dumps through the out-of-band oracle.
 //!
-//! [`session::L2FuzzSession`] ties the four phases together and produces a
-//! [`report::FuzzReport`]; the [`campaign`] module is the single entry point
-//! that wires sessions (and the baseline tools, via the [`fuzzer::Fuzzer`]
-//! trait) to simulated targets.
+//! [`session::L2FuzzSession::run_plan`] is the one driver that ties the four
+//! phases together and produces a [`report::FuzzReport`].  It takes a
+//! [`session::PacketPlan`] that picks the states to visit and the packet to
+//! send next: the paper's [`session::DictionaryPlan`], or the coverage-guided
+//! plan of the `feedback` crate.  The [`campaign`] module is the single entry
+//! point that wires sessions (and the baseline tools, via the
+//! [`fuzzer::Fuzzer`] trait) to simulated targets.
 //!
 //! # Quickstart
 //!
@@ -66,9 +69,9 @@
 //! [`session::L2FuzzSession::run`] by hand.  That wiring now lives behind
 //! [`campaign::Campaign::builder`]:
 //!
-//! * `EventMedium::new` (née `AirMedium::new`) + `register` + `connect` +
-//!   `new_tap` → `.target(profile)` (the builder creates an isolated
-//!   clock, medium, link and tap per target).
+//! * `EventMedium::new` + `register` + `connect` + `new_tap` →
+//!   `.target(profile)` (the builder creates an isolated clock, medium, link
+//!   and tap per target).
 //! * `L2FuzzSession::new(config, clock).run(&mut link, meta, Some(&mut
 //!   oracle))` → `.fuzzer(|| Box::new(L2FuzzTool::detection(config, rounds)))`
 //!   plus `.oracle(OraclePolicy::OutOfBand)` (the default); the report comes
@@ -80,8 +83,9 @@
 //!   wiring for [`campaign::CampaignBuilder::env`], which returns the
 //!   isolated [`campaign::TargetEnv`] (device, link, tap, clock).
 //!
-//! [`session::L2FuzzSession`] itself is unchanged and remains the four-phase
-//! engine; only the harness around it moved.
+//! [`session::L2FuzzSession::run`] still runs one dictionary session by
+//! hand; it is [`session::L2FuzzSession::run_plan`] with a
+//! [`session::DictionaryPlan`], the same driver every campaign tool uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,9 +4,9 @@
 //! lost, duplicated or corrupted by interference, latency wanders, responses
 //! arrive out of order, and a busy target can go silent for a while.  A
 //! [`FaultPlan`] models those behaviours on a virtual link.  Every fault
-//! decision draws from a per-event RNG derived from the scheduler ticket —
-//! the same mechanism as the legacy loss stream, but in its own seed domain
-//! — so a faulty schedule replays bit for bit at any initiator count, and
+//! decision draws from a per-event RNG derived from the scheduler ticket and
+//! the link seed, in a seed domain of its own, so a faulty schedule replays
+//! bit for bit at any initiator count, and
 //! [`FaultPlan::none`] leaves the packet streams byte-identical to a
 //! fault-free medium.
 
@@ -15,8 +15,8 @@ use l2cap::packet::L2capFrame;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Seed-domain separator for the fault stream, so fault decisions never
-/// perturb the legacy `loss_probability` stream of the same event.
+/// Seed-domain separator of the fault stream: an event's fault RNG is
+/// seeded from its scheduler ticket, the link seed and this constant.
 pub(crate) const FAULT_DOMAIN: u64 = 0xFA17_0000_0000_0001;
 
 /// Fault behaviour of a virtual link.
@@ -29,8 +29,8 @@ pub(crate) const FAULT_DOMAIN: u64 = 0xFA17_0000_0000_0001;
 /// without the fault layer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
-    /// Probability that a transmitted frame is dropped on the air, in
-    /// addition to the link's base `loss_probability`.
+    /// Probability that a transmitted frame is dropped on the air (the
+    /// target never sees it, and the fuzzer observes a timeout).
     pub loss: f64,
     /// Probability that a delivered frame reaches the target twice.
     pub duplicate: f64,

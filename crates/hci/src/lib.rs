@@ -12,15 +12,11 @@
 //!   [`medium::LinkHandle`] per link.  Several links to one device fire
 //!   their exchanges through one deterministic event scheduler, so
 //!   concurrent initiators interleave reproducibly.
-//! * [`air`] — compatibility aliases (`AirMedium`, `AclLink`) for the
-//!   pre-event-driven names.
 //! * [`device`] — the [`device::VirtualDevice`] trait a simulated target
 //!   implements (the `btstack` crate provides vendor-flavoured
 //!   implementations).
-//! * [`dongle`] — the fuzzer-side [`dongle::HciDongle`], mirroring the
-//!   "Bluetooth Dongle" box of the paper's workflow figure.
-//! * [`link`] — link configuration (latency, loss) and packet taps used by
-//!   the sniffer.
+//! * [`link`] — link configuration (latency, overhead, faults) and packet
+//!   taps used by the sniffer.
 //! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`]): loss,
 //!   duplication, corruption, jitter, reordering and stalls, all derived
 //!   from the per-event seeded RNG so faulty schedules replay bit for bit.
@@ -30,32 +26,30 @@
 //! ```
 //! use hci::medium::{EventMedium, Medium};
 //! use hci::device::EchoDevice;
-//! use hci::dongle::HciDongle;
-//! use btcore::{BdAddr, SimClock};
+//! use hci::link::LinkConfig;
+//! use btcore::{BdAddr, FuzzRng, SimClock};
 //!
-//! let clock = SimClock::new();
-//! let mut air = EventMedium::new(clock.clone());
-//! air.register(Box::new(EchoDevice::new(BdAddr::new([1, 2, 3, 4, 5, 6]))));
+//! let addr = BdAddr::new([1, 2, 3, 4, 5, 6]);
+//! let mut air = EventMedium::new(SimClock::new());
+//! air.register(Box::new(EchoDevice::new(addr)));
 //!
-//! let dongle = HciDongle::new(air, clock);
-//! let found = dongle.inquiry();
+//! let found = air.inquiry();
 //! assert_eq!(found.len(), 1);
+//! let link = air.connect(addr, LinkConfig::default(), FuzzRng::seed_from(1));
+//! assert!(link.is_ok());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod acl;
-pub mod air;
 pub mod device;
-pub mod dongle;
 pub mod fault;
 pub mod link;
 pub mod medium;
 
 pub use acl::{AclPacket, BoundaryFlag, ACL_FRAGMENT_SIZE};
 pub use device::{SharedDevice, VirtualDevice};
-pub use dongle::HciDongle;
 pub use fault::{FaultPlan, WatchdogExpired};
 pub use link::{Direction, LinkConfig, PacketRecord, SharedTap};
 pub use medium::{EventMedium, LinkHandle, LinkSpec, Medium};

@@ -1,11 +1,10 @@
 //! The event-driven medium: concurrent links over one deterministic radio.
 //!
-//! This module replaces the synchronous `AirMedium` call chain of earlier
-//! revisions.  The radio environment is now a [`Medium`]: a registry of
-//! virtual devices plus an ordered event core ([`btcore::EventScheduler`])
-//! through which every frame exchange passes.  Each established link is a
+//! The radio environment is a [`Medium`]: a registry of virtual devices plus
+//! an ordered event core ([`btcore::EventScheduler`]) through which every
+//! frame exchange passes.  Each established link is a
 //! [`LinkHandle`] — an independent event source with its own virtual clock,
-//! its own loss stream and its own device-side L2CAP acceptor slot — so
+//! its own fault stream and its own device-side L2CAP acceptor slot — so
 //! several initiators can fuzz *one* device concurrently, including one
 //! BR/EDR and one LE initiator against the same dual-mode target.
 //!
@@ -14,7 +13,7 @@
 //! Every exchange is an event stamped with the sending link's virtual time;
 //! the scheduler admits events in ascending `(time, link)` order no matter
 //! how the OS schedules the initiator threads, and hands each admitted event
-//! a deterministic seed for its random decisions (frame loss).  A campaign's
+//! a deterministic seed for its random decisions (link faults).  A campaign's
 //! packet streams are therefore a pure function of its seed at any initiator
 //! count — and a single-link medium degenerates to exactly the synchronous
 //! behaviour (one uncontended lock per exchange, no extra clock charges), so
@@ -96,7 +95,7 @@ pub struct LinkSpec {
     pub addr: BdAddr,
     /// Physical-layer behaviour of the link.
     pub config: LinkConfig,
-    /// Seed of the link's loss stream (each event derives its own RNG from
+    /// Seed of the link's fault stream (each event derives its own RNG from
     /// this and the event's scheduler ticket).
     pub link_seed: u64,
     /// Transport to connect over; `None` uses the device's primary
@@ -115,8 +114,8 @@ pub struct LinkSpec {
 }
 
 impl LinkSpec {
-    /// A primary-transport link on the medium clock (the compatibility
-    /// shape of the old `AirMedium::connect`).
+    /// A primary-transport link on the medium clock (the shape of
+    /// [`Medium::connect`]).
     pub fn new(addr: BdAddr, config: LinkConfig, rng: FuzzRng) -> Self {
         LinkSpec {
             addr,
@@ -464,14 +463,8 @@ impl LinkHandle {
         self.clock
             .advance_micros(self.config.latency_micros * fragment_count as u64);
 
-        let lost = self.config.loss_probability > 0.0
-            && FuzzRng::seed_from(splitmix64(ticket.seed ^ self.link_seed))
-                .chance(self.config.loss_probability);
         let faults = self.config.faults;
-        let responses = if lost {
-            // Frame lost on the air: the target never sees it.
-            Vec::new()
-        } else if faults.is_none() {
+        let responses = if faults.is_none() {
             self.deliver(frame, fragment_count)
         } else {
             self.deliver_with_faults(frame, &faults, ticket.seed)
@@ -493,10 +486,8 @@ impl LinkHandle {
     ///
     /// Decisions draw from a per-event RNG seeded from the scheduler ticket
     /// in a fixed order — jitter, stall, loss, corruption, reorder,
-    /// duplication — in a seed domain separate from the legacy loss stream,
-    /// so the same campaign seed and plan always reproduce the same faulty
-    /// schedule, and plans that leave `loss_probability` semantics alone
-    /// never perturb existing streams.
+    /// duplication — in the fault seed domain, so the same campaign seed and
+    /// plan always reproduce the same faulty schedule.
     fn deliver_with_faults(
         &mut self,
         frame: &L2capFrame,
@@ -752,7 +743,11 @@ mod tests {
     fn total_loss_drops_every_frame() {
         let (mut air, addr) = setup();
         let mut link = air
-            .connect(addr, LinkConfig::lossy(1.0), FuzzRng::seed_from(1))
+            .connect(
+                addr,
+                LinkConfig::default().with_faults(FaultPlan::none().with_loss(1.0)),
+                FuzzRng::seed_from(1),
+            )
             .unwrap();
         let frame = L2capFrame::new(Cid::SIGNALING, vec![0x08, 0x01, 0x00, 0x00]);
         for _ in 0..10 {
