@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use btcore::{FuzzRng, LinkType};
+use btcore::{FuzzRng, Identifier, LinkType};
 use hci::link::Direction;
 use l2cap::code::CommandCode;
 use l2cap::jobs::job_of;
@@ -184,9 +184,45 @@ struct Round {
     commands: Vec<CommandCode>,
 }
 
-impl FeedbackPlan {
-    fn round(&mut self) -> &mut Round {
-        self.round.as_mut().expect("the driver arms the plan first")
+/// Every hook but [`PacketPlan::arm`] runs inside an armed session.
+const ARMED: &str = "the driver arms the plan before a session";
+
+impl Round {
+    /// Draws the parked state's next test packet: a corpus replay (resend /
+    /// havoc / splice) with probability `corpus_ratio` when the state has
+    /// retained entries, a dictionary mutation otherwise.
+    fn draw_packet(
+        &mut self,
+        corpus: &FeedbackCorpus,
+        corpus_ratio: f64,
+        mutator: &mut CoreFieldMutator,
+        ctx: &ChannelContext,
+        identifier: Identifier,
+    ) -> SignalingPacket {
+        let rng = &mut self.pick_rng;
+        let here: Vec<&CorpusEntry> = corpus.entries_for(self.parked.state, self.link).collect();
+        if !here.is_empty() && rng.chance(corpus_ratio) {
+            let base = *rng.pick(&here);
+            match rng.range_usize(0, 2) {
+                0 => mutator.resend_with_field_mutation(&base.wire, ctx, identifier),
+                1 => mutator.havoc(&base.wire, identifier),
+                _ => {
+                    // Splice against any retained packet of this link, not
+                    // just this state — crossing parks is where splice earns
+                    // its keep.
+                    let partners: Vec<&CorpusEntry> = corpus
+                        .entries()
+                        .iter()
+                        .filter(|e| e.link == self.link)
+                        .collect();
+                    let partner = *rng.pick(&partners);
+                    mutator.splice(&base.wire, &partner.wire, identifier)
+                }
+            }
+        } else {
+            let code = *rng.pick(&self.commands);
+            mutator.mutate(code, ctx, identifier)
+        }
     }
 }
 
@@ -227,7 +263,7 @@ impl PacketPlan for FeedbackPlan {
     }
 
     fn next_state(&mut self) -> Option<ChannelState> {
-        let round = self.round();
+        let round = self.round.as_mut().expect(ARMED);
         let alloc = round.allocations.next()?;
         round.parked = alloc;
         // Count the attempt (not the success): a state whose prelude keeps
@@ -243,7 +279,7 @@ impl PacketPlan for FeedbackPlan {
         _mutator: &mut CoreFieldMutator,
         _guide: &mut StateGuide,
     ) {
-        let round = self.round();
+        let round = self.round.as_mut().expect(ARMED);
         round.commands = job_of(state).generous_valid_commands_on(round.link);
     }
 
@@ -253,26 +289,22 @@ impl PacketPlan for FeedbackPlan {
         mutator: &mut CoreFieldMutator,
         guide: &mut StateGuide,
     ) -> Option<SignalingPacket> {
-        let round = self.round.as_mut().expect("the driver arms the plan first");
+        let round = self.round.as_mut().expect(ARMED);
         if round.parked.packets == 0 {
             return None;
         }
         round.parked.packets -= 1;
-        Some(draw_packet(
+        Some(round.draw_packet(
             &self.corpus,
-            mutator,
-            &mut round.pick_rng,
             self.corpus_ratio,
-            &round.commands,
-            round.parked.state,
-            round.link,
+            mutator,
             ctx,
             guide.next_identifier(),
         ))
     }
 
     fn observe(&mut self, outcome: &SendOutcome) {
-        let round = self.round.as_mut().expect("the driver arms the plan first");
+        let round = self.round.as_mut().expect(ARMED);
         let packet = &outcome.packet;
         round.coverage.saw_tx_signaling();
         round.coverage.observe(Direction::Tx, packet);
@@ -294,41 +326,5 @@ impl PacketPlan for FeedbackPlan {
                 key,
             });
         }
-    }
-}
-
-/// Draws the next test packet: a corpus replay (resend / havoc / splice)
-/// with probability `corpus_ratio` when the current state has retained
-/// entries, a dictionary mutation otherwise.
-#[allow(clippy::too_many_arguments)]
-fn draw_packet(
-    corpus: &FeedbackCorpus,
-    mutator: &mut CoreFieldMutator,
-    rng: &mut FuzzRng,
-    corpus_ratio: f64,
-    commands: &[CommandCode],
-    state: ChannelState,
-    link: btcore::LinkType,
-    ctx: &ChannelContext,
-    identifier: btcore::Identifier,
-) -> SignalingPacket {
-    let here: Vec<&CorpusEntry> = corpus.entries_for(state, link).collect();
-    if !here.is_empty() && rng.chance(corpus_ratio) {
-        let base = *rng.pick(&here);
-        match rng.range_usize(0, 2) {
-            0 => mutator.resend_with_field_mutation(&base.wire, ctx, identifier),
-            1 => mutator.havoc(&base.wire, identifier),
-            _ => {
-                // Splice against any retained packet of this link, not just
-                // this state — crossing parks is where splice earns its keep.
-                let partners: Vec<&CorpusEntry> =
-                    corpus.entries().iter().filter(|e| e.link == link).collect();
-                let partner = *rng.pick(&partners);
-                mutator.splice(&base.wire, &partner.wire, identifier)
-            }
-        }
-    } else {
-        let code = *rng.pick(commands);
-        mutator.mutate(code, ctx, identifier)
     }
 }
