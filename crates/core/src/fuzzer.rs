@@ -142,7 +142,7 @@ impl<'a> FuzzCtx<'a> {
     /// Reborrows the link and the oracle together for one session pass.
     ///
     /// The two live in disjoint fields, so a tool can hold both mutably at
-    /// once — the shape [`crate::session::L2FuzzSession::run`] needs.
+    /// once — the shape [`crate::session::L2FuzzSession::run_plan`] needs.
     pub fn link_and_oracle(&mut self) -> (&mut LinkHandle, Option<&mut dyn TargetOracle>) {
         let oracle = match self.oracle {
             Some(ref mut o) => {

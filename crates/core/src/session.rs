@@ -325,10 +325,10 @@ impl L2FuzzSession {
 /// Runs sessions of `plan` back to back inside `ctx`, at most `max_rounds`
 /// of them, and merges their reports into one.
 ///
-/// Round `k` runs `config` with a seed from the context's per-target seed
-/// stream: domain-separated under `domain` (each tool has its own label), so
-/// the round seeds never replay the raw per-target seed that drives the
-/// simulated device's own RNG.  The configured seed stays a real input —
+/// Round `k` runs `config` with seed `ctx.stream_seed(config.seed ^ domain)
+/// + k`.  The per-target stream is domain-separated under `domain` (each
+/// tool has its own label), so round seeds never replay the raw per-target
+/// seed that drives the simulated device's own RNG.  The configured seed stays a real input —
 /// two tools with different config seeds diverge under the same campaign
 /// seed.  Each round's packet cap is clamped to the budget left.  The loop
 /// ends when the budget is spent, after a round with a finding (if
@@ -342,13 +342,13 @@ pub fn run_rounds(
     plan: &mut dyn PacketPlan,
 ) -> Option<FuzzReport> {
     let mut merged: Option<FuzzReport> = None;
-    for round in 0..max_rounds as u64 {
+    for k in 0..max_rounds as u64 {
         let remaining = ctx.remaining();
         if remaining == Some(0) {
             break;
         }
         let mut round_config = config.clone();
-        round_config.seed = ctx.stream_seed(config.seed ^ domain).wrapping_add(round);
+        round_config.seed = ctx.stream_seed(config.seed ^ domain).wrapping_add(k);
         if let Some(remaining) = remaining {
             round_config.max_packets = if round_config.max_packets == 0 {
                 remaining as usize

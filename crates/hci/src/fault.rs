@@ -6,9 +6,8 @@
 //! [`FaultPlan`] models those behaviours on a virtual link.  Every fault
 //! decision draws from a per-event RNG derived from the scheduler ticket and
 //! the link seed, in a seed domain of its own, so a faulty schedule replays
-//! bit for bit at any initiator count, and
-//! [`FaultPlan::none`] leaves the packet streams byte-identical to a
-//! fault-free medium.
+//! bit for bit at any initiator count, and [`FaultPlan::none`] leaves the
+//! packet streams byte-identical to a fault-free medium.
 
 use btcore::FuzzRng;
 use l2cap::packet::L2capFrame;
