@@ -115,9 +115,9 @@ fn main() -> ExitCode {
 
     if let Some(path) = &args.json {
         let json = if args.pretty {
-            serde_json::to_string_pretty_streamed(&report)
+            serde_json::to_string_pretty(&report)
         } else {
-            serde_json::to_string_streamed(&report)
+            serde_json::to_string(&report)
         };
         if let Err(err) = std::fs::write(path, json + "\n") {
             eprintln!("l2fuzz-analyze: failed to write {}: {err}", path.display());

@@ -20,14 +20,13 @@
 use btcore::LinkType;
 use l2cap::code::CommandCode;
 use l2cap::state::{spec_transition, Action, ChannelState};
-use serde::{Deserialize, Serialize};
-use serde_json::{JsonStreamWriter, StreamSerialize};
+use serde::Serialize;
 
 use crate::model::{link_model, Witness};
 use crate::plan::{fuzz_plans, link_name, validate_plan, FuzzPlan};
 
 /// A violated invariant; any of these fails the analyzer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Violation {
     /// The check family that fired.
     pub check: String,
@@ -35,18 +34,9 @@ pub struct Violation {
     pub detail: String,
 }
 
-impl StreamSerialize for Violation {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("check", &self.check)
-            .field("detail", &self.detail)
-            .end_object();
-    }
-}
-
 /// A transition-table row whose source state the machine can never rest
 /// in, so the row can never execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub struct DeadRow {
     /// The transport whose table arm carries the row.
     pub link: LinkType,
@@ -56,19 +46,9 @@ pub struct DeadRow {
     pub code: CommandCode,
 }
 
-impl StreamSerialize for DeadRow {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("link", &self.link)
-            .field("state", &self.state)
-            .field("code", &self.code)
-            .end_object();
-    }
-}
-
 /// How a table arm treats a command, coarsened to the classes the
 /// asymmetry check compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ActionClass {
     /// The command is served (a response or self-initiated request).
     Accept,
@@ -90,7 +70,7 @@ impl ActionClass {
 
 /// A command both transports consider valid, served differently by the
 /// two table arms in a state both transports can rest in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Asymmetry {
     /// The state both transports rest in.
     pub state: ChannelState,
@@ -100,17 +80,6 @@ pub struct Asymmetry {
     pub bredr: ActionClass,
     /// How the LE arm treats it.
     pub le: ActionClass,
-}
-
-impl StreamSerialize for Asymmetry {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("state", &self.state)
-            .field("code", &self.code)
-            .field("bredr", &format!("{:?}", self.bredr))
-            .field("le", &format!("{:?}", self.le))
-            .end_object();
-    }
 }
 
 /// The pinned-intentional findings: dead rows and asymmetries the repo
@@ -273,7 +242,7 @@ pub fn asymmetries() -> Vec<Asymmetry> {
 }
 
 /// The full model-certification result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ModelCheck {
     /// Reachable states per transport, with their minimal witnesses.
     pub witnesses: Vec<Witness>,
@@ -285,38 +254,6 @@ pub struct ModelCheck {
     pub asymmetries: Vec<Asymmetry>,
     /// Violated invariants; empty means the model certifies clean.
     pub violations: Vec<Violation>,
-}
-
-impl StreamSerialize for ModelCheck {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object();
-        w.key("witnesses").begin_array();
-        for witness in &self.witnesses {
-            witness.stream(w);
-        }
-        w.end_array();
-        w.key("plans").begin_array();
-        for plan in &self.plans {
-            plan.stream(w);
-        }
-        w.end_array();
-        w.key("dead_rows").begin_array();
-        for row in &self.dead_rows {
-            row.stream(w);
-        }
-        w.end_array();
-        w.key("asymmetries").begin_array();
-        for asym in &self.asymmetries {
-            asym.stream(w);
-        }
-        w.end_array();
-        w.key("violations").begin_array();
-        for v in &self.violations {
-            v.stream(w);
-        }
-        w.end_array();
-        w.end_object();
-    }
 }
 
 fn claimed_mask(link: LinkType) -> &'static [ChannelState] {

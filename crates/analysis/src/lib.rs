@@ -21,8 +21,8 @@
 //!   [`Allowlist`].
 //! * [`vulns`] — a reachability certificate for every `(profile,
 //!   vulnerability, link)` triple the campaign can serve.
-//! * [`lints`] — source-level invariant lints (panicking operations in
-//!   hot-path crates, `StreamSerialize` field parity).
+//! * [`lints`] — source-level invariant lints (panicking operations and
+//!   non-literal indexing in hot-path crates).
 //! * [`report`] — the aggregate [`AnalysisReport`] with text and JSON
 //!   renderings, exposed by the `l2fuzz-analyze` binary and gating CI.
 

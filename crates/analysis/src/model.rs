@@ -20,13 +20,12 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use btcore::LinkType;
 use l2cap::code::CommandCode;
 use l2cap::state::{ChannelState, StateMachine};
-use serde::{Deserialize, Serialize};
-use serde_json::{JsonStreamWriter, StreamSerialize};
+use serde::Serialize;
 
 /// One input fed to the machine: a received signalling command plus the
 /// upper layer's accept/refuse decision for connection-establishing
 /// requests (`accept` is ignored by every other command).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub struct Input {
     /// The signalling command the target receives.
     pub code: CommandCode,
@@ -43,19 +42,10 @@ impl Input {
     }
 }
 
-impl StreamSerialize for Input {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("code", &self.code)
-            .field("accept", &self.accept)
-            .end_object();
-    }
-}
-
 /// A replayable command sequence proving a `(state, link)` pair reachable:
 /// feeding `inputs` into a fresh [`StateMachine::for_link`] machine visits
 /// `state`.  [`Witness::replay`] re-executes exactly that check.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Witness {
     /// The state this witness reaches.
     pub state: ChannelState,
@@ -92,16 +82,6 @@ impl Witness {
     /// The command codes of the witness, in order.
     pub fn codes(&self) -> Vec<CommandCode> {
         self.inputs.iter().map(|i| i.code).collect()
-    }
-}
-
-impl StreamSerialize for Witness {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("state", &self.state)
-            .field("link", &self.link)
-            .field("inputs", &self.inputs)
-            .end_object();
     }
 }
 

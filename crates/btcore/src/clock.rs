@@ -14,8 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// A shareable, monotonically increasing virtual clock with microsecond
 /// resolution.
 ///
@@ -79,7 +77,7 @@ impl SimClock {
 
 /// Formats a duration the way the paper's Table VI prints elapsed times,
 /// e.g. `1 m 32 s`, `40 s` or `2 h 40 m`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PaperDuration(
     /// Total number of whole seconds.
     pub u64,

@@ -90,7 +90,7 @@ impl fmt::Display for LinkType {
 /// one device at the same time; the device keeps one isolated L2CAP acceptor
 /// (own CID space, own channel state) per slot.  Slot numbers are assigned
 /// per device in connection order, starting at [`LinkSlot::PRIMARY`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkSlot(pub u16);
 
 impl LinkSlot {

@@ -34,8 +34,6 @@ use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use serde::{DeError, Deserialize, Serialize, Value};
-
 /// Upper bound on idle buffers one [`FrameArena`] keeps alive.
 const MAX_POOLED_BUFFERS: usize = 64;
 
@@ -286,25 +284,6 @@ impl std::hash::Hash for FrameBuf {
     }
 }
 
-/// Serializes exactly like `Vec<u8>` (a JSON array of numbers), so swapping a
-/// `Vec<u8>` field for a `FrameBuf` changes no serialized artifact.
-impl Serialize for FrameBuf {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.as_slice()
-                .iter()
-                .map(|b| Value::U64(u64::from(*b)))
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for FrameBuf {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Vec::<u8>::from_value(v).map(FrameBuf::from_vec)
-    }
-}
-
 /// A uniquely-owned, writable buffer checked out of a [`FrameArena`].
 ///
 /// Dereferences to `Vec<u8>` for filling; [`FrameBufMut::freeze`] turns it
@@ -514,8 +493,9 @@ mod tests {
     fn serializes_exactly_like_a_byte_vector() {
         let bytes = vec![0x0Cu8, 0x00, 0xFF];
         let buf = FrameBuf::from_vec(bytes.clone());
-        assert_eq!(buf.to_value(), bytes.to_value());
-        let back = FrameBuf::from_value(&buf.to_value()).unwrap();
+        let json = serde_json::to_string(&buf);
+        assert_eq!(json, serde_json::to_string(&bytes));
+        let back: FrameBuf = serde_json::from_str(&json).unwrap();
         assert_eq!(back, buf);
     }
 

@@ -236,9 +236,7 @@ impl From<Psm> for u16 {
 }
 
 /// An HCI ACL connection handle (12 significant bits).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ConnectionHandle(pub u16);
 
 impl ConnectionHandle {
@@ -274,7 +272,7 @@ impl From<u16> for ConnectionHandle {
 /// dynamically assigned by the sender and never mutated.  `0x00` is invalid
 /// per the specification, so [`Identifier::next`] wraps from `0xFF` to
 /// `0x01`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Identifier(pub u8);
 
 impl Identifier {

@@ -9,10 +9,9 @@
 
 use btcore::{Cid, LinkType, Psm};
 use l2cap::state::StateMachine;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one channel control block within a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CcbId(pub usize);
 
 /// Per-channel bookkeeping of the simulated acceptor.

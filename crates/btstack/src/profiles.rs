@@ -36,9 +36,6 @@ pub enum ProfileId {
     D11,
 }
 
-serde_json::stream_unit_enum!(ProfileId);
-serde_json::stream_unit_enum_de!(ProfileId);
-
 impl ProfileId {
     /// All eight devices in Table V order.
     pub const ALL: [ProfileId; 8] = [
@@ -80,7 +77,7 @@ impl std::str::FromStr for ProfileId {
 
 /// A full device profile: the descriptive Table V columns plus simulation
 /// parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Which of D1–D8 this is.
     pub id: ProfileId,

@@ -6,10 +6,9 @@
 //! simulated devices expose the same information through a [`ServiceTable`].
 
 use btcore::Psm;
-use serde::{Deserialize, Serialize};
 
 /// One service offered by a device.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceRecord {
     /// The service's L2CAP port.
     pub psm: Psm,
@@ -31,7 +30,7 @@ impl ServiceRecord {
 }
 
 /// The set of services a device offers.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceTable {
     records: Vec<ServiceRecord>,
 }

@@ -9,10 +9,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The Bluetooth host stacks represented in the paper's device table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VendorStack {
     /// Android's BlueDroid / Fluoride stack.
     BlueDroid,
@@ -123,7 +121,7 @@ impl fmt::Display for VendorStack {
 }
 
 /// Behavioural deviations from the specification exhibited by a stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Quirks {
     /// In configuration-job states, channel IDs carried in payloads are *not*
     /// validated against the allocated channel before use (the BlueDroid

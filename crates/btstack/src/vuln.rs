@@ -17,12 +17,11 @@
 use l2cap::code::CommandCode;
 use l2cap::jobs::Job;
 use l2cap::state::ChannelState;
-use serde::{Deserialize, Serialize};
 
 use crate::crashdump::CrashKind;
 
 /// Per-packet facts the endpoint extracts before vulnerability matching.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PacketContext {
     /// Job of the channel state the packet was processed in.
     pub job: Job,
@@ -53,7 +52,7 @@ pub struct PacketContext {
 }
 
 /// Structural conditions under which a seeded vulnerability fires.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trigger {
     /// Jobs in which the defective code is reachable (empty = any job).
     pub jobs: Vec<Job>,
@@ -130,7 +129,7 @@ impl Trigger {
 }
 
 /// What happens to the device when a vulnerability fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effect {
     /// The Bluetooth service terminates (denial of service); the rest of the
     /// device keeps running.
@@ -140,7 +139,7 @@ pub enum Effect {
 }
 
 /// A seeded vulnerability of a simulated device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VulnerabilitySpec {
     /// Stable identifier used in crash dumps and reports.
     pub id: String,

@@ -20,12 +20,11 @@ use l2cap::options::ConfigOption;
 use l2cap::packet::parse_signaling;
 use l2cap::state::ChannelState;
 use l2cap::CommandCode;
-use serde::{Deserialize, Serialize};
 
 use crate::retry::RetryPolicy;
 
 /// The fuzzer-side view of one channel opened on the target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelContext {
     /// Our (initiator) channel ID.
     pub scid: Cid,

@@ -8,10 +8,8 @@
 //! between them (scaled by `backoff_factor` per retry), so retried schedules
 //! stay exactly as deterministic as everything else.
 
-use serde::{Deserialize, Serialize};
-
 /// Retry behaviour of the fault-tolerant drivers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (minimum 1).
     pub max_attempts: u32,
@@ -110,13 +108,5 @@ mod tests {
             backoff_factor: u32::MAX,
         };
         assert_eq!(policy.backoff_for(40), u64::MAX);
-    }
-
-    #[test]
-    fn policy_roundtrips_through_serde() {
-        let policy = RetryPolicy::lossy_link();
-        let json = serde_json::to_string(&policy).unwrap();
-        let back: RetryPolicy = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, policy);
     }
 }

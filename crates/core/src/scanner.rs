@@ -48,54 +48,6 @@ pub struct ScanReport {
     pub chosen_port: Option<Psm>,
 }
 
-serde_json::stream_unit_enum!(PortStatus);
-
-impl serde_json::StreamSerialize for PortProbe {
-    fn stream(&self, w: &mut serde_json::JsonStreamWriter) {
-        w.begin_object()
-            .field("psm", &self.psm)
-            .field("status", &self.status)
-            .end_object();
-    }
-}
-
-impl serde_json::StreamSerialize for ScanReport {
-    fn stream(&self, w: &mut serde_json::JsonStreamWriter) {
-        w.begin_object()
-            .field("meta", &self.meta)
-            .field("probes", &self.probes)
-            .field("chosen_port", &self.chosen_port)
-            .end_object();
-    }
-}
-
-serde_json::stream_unit_enum_de!(PortStatus);
-
-impl serde_json::StreamDeserialize for PortProbe {
-    fn stream_from(r: &mut serde_json::JsonStreamReader<'_>) -> Result<Self, serde_json::Error> {
-        r.begin_object()?;
-        let psm = r.key("psm")?.value()?;
-        let status = r.key("status")?.value()?;
-        r.end_object()?;
-        Ok(PortProbe { psm, status })
-    }
-}
-
-impl serde_json::StreamDeserialize for ScanReport {
-    fn stream_from(r: &mut serde_json::JsonStreamReader<'_>) -> Result<Self, serde_json::Error> {
-        r.begin_object()?;
-        let meta = r.key("meta")?.value()?;
-        let probes = r.key("probes")?.value()?;
-        let chosen_port = r.key("chosen_port")?.value()?;
-        r.end_object()?;
-        Ok(ScanReport {
-            meta,
-            probes,
-            chosen_port,
-        })
-    }
-}
-
 impl ScanReport {
     /// Ports that accepted a connection without pairing.
     pub fn pairing_free_ports(&self) -> Vec<Psm> {

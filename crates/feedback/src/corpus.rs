@@ -31,9 +31,6 @@ pub enum ResponseClass {
     Answered,
 }
 
-serde_json::stream_unit_enum!(ResponseClass);
-serde_json::stream_unit_enum_de!(ResponseClass);
-
 impl ResponseClass {
     /// Classifies one transmission outcome.
     pub fn of(outcome: &SendOutcome) -> ResponseClass {
@@ -50,7 +47,7 @@ impl ResponseClass {
 }
 
 /// The dedup key novelty is measured by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NoveltyKey {
     /// State-coverage bitmask observed after the packet's exchange (one bit
     /// per [`ChannelState::ALL`] index, as
@@ -60,27 +57,8 @@ pub struct NoveltyKey {
     pub class: ResponseClass,
 }
 
-impl serde_json::StreamSerialize for NoveltyKey {
-    fn stream(&self, w: &mut serde_json::JsonStreamWriter) {
-        w.begin_object()
-            .field("signature", &self.signature)
-            .field("class", &self.class)
-            .end_object();
-    }
-}
-
-impl serde_json::StreamDeserialize for NoveltyKey {
-    fn stream_from(r: &mut serde_json::JsonStreamReader<'_>) -> Result<Self, serde_json::Error> {
-        r.begin_object()?;
-        let signature = r.key("signature")?.value()?;
-        let class = r.key("class")?.value()?;
-        r.end_object()?;
-        Ok(NoveltyKey { signature, class })
-    }
-}
-
 /// One retained packet: its wire form plus the state it was sent from.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CorpusEntry {
     /// The state the packet was sent from (the park to replay it from).
     pub state: ChannelState,
@@ -93,34 +71,6 @@ pub struct CorpusEntry {
     pub key: NoveltyKey,
 }
 
-impl serde_json::StreamSerialize for CorpusEntry {
-    fn stream(&self, w: &mut serde_json::JsonStreamWriter) {
-        w.begin_object()
-            .field("state", &self.state)
-            .field("link", &self.link)
-            .field("wire", &self.wire)
-            .field("key", &self.key)
-            .end_object();
-    }
-}
-
-impl serde_json::StreamDeserialize for CorpusEntry {
-    fn stream_from(r: &mut serde_json::JsonStreamReader<'_>) -> Result<Self, serde_json::Error> {
-        r.begin_object()?;
-        let state = r.key("state")?.value()?;
-        let link = r.key("link")?.value()?;
-        let wire = r.key("wire")?.value()?;
-        let key = r.key("key")?.value()?;
-        r.end_object()?;
-        Ok(CorpusEntry {
-            state,
-            link,
-            wire,
-            key,
-        })
-    }
-}
-
 /// The coverage-guided corpus: entries in retention order, one per distinct
 /// novelty key.
 ///
@@ -128,7 +78,7 @@ impl serde_json::StreamDeserialize for CorpusEntry {
 /// 2^19 × 4 distinct keys, and in practice a campaign retains a few dozen —
 /// so membership is a linear scan over the entries themselves rather than a
 /// side table that serialization would have to keep consistent.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FeedbackCorpus {
     entries: Vec<CorpusEntry>,
 }
@@ -195,7 +145,7 @@ impl FeedbackCorpus {
     /// Serializes the corpus as pretty-printed JSON through the streaming
     /// writer (byte-identical round trip with [`FeedbackCorpus::from_json`]).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty_streamed(self)
+        serde_json::to_string_pretty(self)
     }
 
     /// Parses a corpus back from JSON through the streaming reader.
@@ -203,24 +153,7 @@ impl FeedbackCorpus {
     /// # Errors
     /// Returns a `serde_json::Error` if the input is not a valid corpus.
     pub fn from_json(json: &str) -> Result<FeedbackCorpus, serde_json::Error> {
-        serde_json::from_str_streamed(json)
-    }
-}
-
-impl serde_json::StreamSerialize for FeedbackCorpus {
-    fn stream(&self, w: &mut serde_json::JsonStreamWriter) {
-        w.begin_object()
-            .field("entries", &self.entries)
-            .end_object();
-    }
-}
-
-impl serde_json::StreamDeserialize for FeedbackCorpus {
-    fn stream_from(r: &mut serde_json::JsonStreamReader<'_>) -> Result<Self, serde_json::Error> {
-        r.begin_object()?;
-        let entries = r.key("entries")?.value()?;
-        r.end_object()?;
-        Ok(FeedbackCorpus { entries })
+        serde_json::from_str(json)
     }
 }
 

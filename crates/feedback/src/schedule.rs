@@ -14,12 +14,13 @@ use std::collections::BTreeMap;
 
 use btcore::LinkType;
 use l2cap::state::ChannelState;
+use serde::{Deserialize, Serialize};
 
 /// Fixed-point scale for the integer weights.
 const SCALE: u64 = 1_000;
 
 /// One state's share of a round's transmission budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EnergyAllocation {
     /// The state to park in.
     pub state: ChannelState,
@@ -27,28 +28,9 @@ pub struct EnergyAllocation {
     pub packets: u64,
 }
 
-impl serde_json::StreamSerialize for EnergyAllocation {
-    fn stream(&self, w: &mut serde_json::JsonStreamWriter) {
-        w.begin_object()
-            .field("state", &self.state)
-            .field("packets", &self.packets)
-            .end_object();
-    }
-}
-
-impl serde_json::StreamDeserialize for EnergyAllocation {
-    fn stream_from(r: &mut serde_json::JsonStreamReader<'_>) -> Result<Self, serde_json::Error> {
-        r.begin_object()?;
-        let state = r.key("state")?.value()?;
-        let packets = r.key("packets")?.value()?;
-        r.end_object()?;
-        Ok(EnergyAllocation { state, packets })
-    }
-}
-
 /// A deterministic division of one round's packet budget across the states
 /// reachable on a link, in canonical state order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EnergySchedule {
     allocations: Vec<EnergyAllocation>,
 }
@@ -133,23 +115,6 @@ impl EnergySchedule {
     }
 }
 
-impl serde_json::StreamSerialize for EnergySchedule {
-    fn stream(&self, w: &mut serde_json::JsonStreamWriter) {
-        w.begin_object()
-            .field("allocations", &self.allocations)
-            .end_object();
-    }
-}
-
-impl serde_json::StreamDeserialize for EnergySchedule {
-    fn stream_from(r: &mut serde_json::JsonStreamReader<'_>) -> Result<Self, serde_json::Error> {
-        r.begin_object()?;
-        let allocations = r.key("allocations")?.value()?;
-        r.end_object()?;
-        Ok(EnergySchedule { allocations })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,9 +178,9 @@ mod tests {
     #[test]
     fn json_round_trip_is_byte_identical() {
         let schedule = EnergySchedule::plan(LinkType::BrEdr, &BTreeMap::new(), 64);
-        let json = serde_json::to_string_pretty_streamed(&schedule);
-        let back: EnergySchedule = serde_json::from_str_streamed(&json).unwrap();
+        let json = serde_json::to_string_pretty(&schedule);
+        let back: EnergySchedule = serde_json::from_str(&json).unwrap();
         assert_eq!(back, schedule);
-        assert_eq!(serde_json::to_string_pretty_streamed(&back), json);
+        assert_eq!(serde_json::to_string_pretty(&back), json);
     }
 }

@@ -11,7 +11,6 @@
 
 use btcore::FuzzRng;
 use l2cap::packet::L2capFrame;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Seed-domain separator of the fault stream: an event's fault RNG is
@@ -26,7 +25,7 @@ pub(crate) const FAULT_DOMAIN: u64 = 0xFA17_0000_0000_0001;
 /// The default plan ([`FaultPlan::none`]) injects nothing and consumes no
 /// randomness, keeping default campaigns packet-identical to a medium
 /// without the fault layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Probability that a transmitted frame is dropped on the air (the
     /// target never sees it, and the fuzzer observes a timeout).
@@ -229,15 +228,5 @@ mod tests {
         let a = corrupt_frame(&frame, &mut FuzzRng::seed_from(99));
         let b = corrupt_frame(&frame, &mut FuzzRng::seed_from(99));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn plan_roundtrips_through_serde() {
-        let plan = FaultPlan::degraded(0.2, 0.1)
-            .with_stall(0.05, 20_000)
-            .with_jitter(300);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 }

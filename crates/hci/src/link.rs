@@ -33,39 +33,6 @@ pub struct PacketRecord {
     pub frame: L2capFrame,
 }
 
-serde_json::stream_unit_enum!(Direction);
-serde_json::stream_unit_enum_de!(Direction);
-
-/// Streams like the derived encoding: `{direction, timestamp_micros,
-/// frame}` — used by the trace writer so captures serialize without a
-/// `Value` tree.
-impl serde_json::StreamSerialize for PacketRecord {
-    fn stream(&self, w: &mut serde_json::JsonStreamWriter) {
-        w.begin_object()
-            .field("direction", &self.direction)
-            .field("timestamp_micros", &self.timestamp_micros)
-            .field("frame", &self.frame)
-            .end_object();
-    }
-}
-
-/// The reading mirror of the streamed encoding above — used by trace and
-/// checkpoint replay.
-impl serde_json::StreamDeserialize for PacketRecord {
-    fn stream_from(r: &mut serde_json::JsonStreamReader<'_>) -> Result<Self, serde_json::Error> {
-        r.begin_object()?;
-        let direction = r.key("direction")?.value()?;
-        let timestamp_micros = r.key("timestamp_micros")?.value()?;
-        let frame = r.key("frame")?.value()?;
-        r.end_object()?;
-        Ok(PacketRecord {
-            direction,
-            timestamp_micros,
-            frame,
-        })
-    }
-}
-
 /// A shareable sink for captured packets.
 pub type SharedTap = Arc<Mutex<Vec<PacketRecord>>>;
 
@@ -75,7 +42,7 @@ pub fn new_tap() -> SharedTap {
 }
 
 /// Physical-layer behaviour of a virtual ACL link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// One-way latency added per frame, in microseconds of virtual time.
     pub latency_micros: u64,

@@ -9,14 +9,13 @@
 //! tolerated on decode, mirroring how lenient real stacks parse such packets.
 
 use btcore::{ByteReader, ByteWriter, Cid, Psm};
-use serde::{Deserialize, Serialize};
 
 use crate::code::CommandCode;
 use crate::consts::{ConfigureResult, ConnectionResult, MoveResult, RejectReason};
 use crate::options::ConfigOption;
 
 /// Command Reject (`0x01`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommandReject {
     /// Reject reason.
     pub reason: RejectReason,
@@ -26,7 +25,7 @@ pub struct CommandReject {
 }
 
 /// Connection Request (`0x02`): opens a channel to a service PSM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnectionRequest {
     /// Target service port.
     pub psm: Psm,
@@ -35,7 +34,7 @@ pub struct ConnectionRequest {
 }
 
 /// Connection Response (`0x03`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnectionResponse {
     /// Destination channel ID allocated by the responder.
     pub dcid: Cid,
@@ -48,7 +47,7 @@ pub struct ConnectionResponse {
 }
 
 /// Configuration Request (`0x04`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigureRequest {
     /// Destination channel ID (the peer's channel endpoint).
     pub dcid: Cid,
@@ -59,7 +58,7 @@ pub struct ConfigureRequest {
 }
 
 /// Configuration Response (`0x05`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigureResponse {
     /// Source channel ID (the channel the response concerns).
     pub scid: Cid,
@@ -72,7 +71,7 @@ pub struct ConfigureResponse {
 }
 
 /// Disconnection Request (`0x06`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DisconnectionRequest {
     /// Destination channel ID.
     pub dcid: Cid,
@@ -81,7 +80,7 @@ pub struct DisconnectionRequest {
 }
 
 /// Disconnection Response (`0x07`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DisconnectionResponse {
     /// Destination channel ID.
     pub dcid: Cid,
@@ -90,28 +89,28 @@ pub struct DisconnectionResponse {
 }
 
 /// Echo Request (`0x08`) — the L2CAP ping used by the detection phase.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EchoRequest {
     /// Optional echo payload.
     pub data: Vec<u8>,
 }
 
 /// Echo Response (`0x09`).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EchoResponse {
     /// Echoed payload.
     pub data: Vec<u8>,
 }
 
 /// Information Request (`0x0A`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InformationRequest {
     /// Requested information type.
     pub info_type: u16,
 }
 
 /// Information Response (`0x0B`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InformationResponse {
     /// Information type being answered.
     pub info_type: u16,
@@ -122,7 +121,7 @@ pub struct InformationResponse {
 }
 
 /// Create Channel Request (`0x0C`) — AMP channel creation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CreateChannelRequest {
     /// Target service port.
     pub psm: Psm,
@@ -133,7 +132,7 @@ pub struct CreateChannelRequest {
 }
 
 /// Create Channel Response (`0x0D`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CreateChannelResponse {
     /// Destination channel ID.
     pub dcid: Cid,
@@ -146,7 +145,7 @@ pub struct CreateChannelResponse {
 }
 
 /// Move Channel Request (`0x0E`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoveChannelRequest {
     /// Initiator channel ID of the channel to move.
     pub icid: Cid,
@@ -155,7 +154,7 @@ pub struct MoveChannelRequest {
 }
 
 /// Move Channel Response (`0x0F`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoveChannelResponse {
     /// Initiator channel ID.
     pub icid: Cid,
@@ -164,7 +163,7 @@ pub struct MoveChannelResponse {
 }
 
 /// Move Channel Confirmation Request (`0x10`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoveChannelConfirmationRequest {
     /// Initiator channel ID.
     pub icid: Cid,
@@ -173,14 +172,14 @@ pub struct MoveChannelConfirmationRequest {
 }
 
 /// Move Channel Confirmation Response (`0x11`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoveChannelConfirmationResponse {
     /// Initiator channel ID.
     pub icid: Cid,
 }
 
 /// Connection Parameter Update Request (`0x12`, LE only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnectionParameterUpdateRequest {
     /// Minimum connection interval.
     pub interval_min: u16,
@@ -193,14 +192,14 @@ pub struct ConnectionParameterUpdateRequest {
 }
 
 /// Connection Parameter Update Response (`0x13`, LE only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnectionParameterUpdateResponse {
     /// Result (0 = accepted, 1 = rejected).
     pub result: u16,
 }
 
 /// LE Credit Based Connection Request (`0x14`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeCreditBasedConnectionRequest {
     /// Simplified PSM.
     pub spsm: u16,
@@ -215,7 +214,7 @@ pub struct LeCreditBasedConnectionRequest {
 }
 
 /// LE Credit Based Connection Response (`0x15`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeCreditBasedConnectionResponse {
     /// Destination channel ID.
     pub dcid: Cid,
@@ -230,7 +229,7 @@ pub struct LeCreditBasedConnectionResponse {
 }
 
 /// Flow Control Credit Indication (`0x16`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowControlCreditInd {
     /// Channel receiving additional credits.
     pub cid: Cid,
@@ -239,7 +238,7 @@ pub struct FlowControlCreditInd {
 }
 
 /// Credit Based Connection Request (`0x17`) — enhanced, up to five channels.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CreditBasedConnectionRequest {
     /// Simplified PSM.
     pub spsm: u16,
@@ -254,7 +253,7 @@ pub struct CreditBasedConnectionRequest {
 }
 
 /// Credit Based Connection Response (`0x18`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CreditBasedConnectionResponse {
     /// Maximum transmission unit.
     pub mtu: u16,
@@ -269,7 +268,7 @@ pub struct CreditBasedConnectionResponse {
 }
 
 /// Credit Based Reconfigure Request (`0x19`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CreditBasedReconfigureRequest {
     /// New maximum transmission unit.
     pub mtu: u16,
@@ -280,7 +279,7 @@ pub struct CreditBasedReconfigureRequest {
 }
 
 /// Credit Based Reconfigure Response (`0x1A`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CreditBasedReconfigureResponse {
     /// Result code.
     pub result: u16,
@@ -288,7 +287,7 @@ pub struct CreditBasedReconfigureResponse {
 
 /// Any L2CAP signalling command, or an opaque blob when the payload does not
 /// decode as the structure its code implies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum Command {
     CommandReject(CommandReject),

@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Reason codes carried by a Command Reject packet.
 ///
 /// The paper's mutation design is built around avoiding exactly these
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// understood*, an out-of-range CIDP provokes *invalid CID in request*, and a
 /// garbage tail longer than the signalling MTU provokes *signaling MTU
 /// exceeded* (§III-D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
 pub enum RejectReason {
     /// `0x0000` Command not understood.
@@ -52,7 +50,7 @@ impl fmt::Display for RejectReason {
 }
 
 /// Result codes for Connection Response and Create Channel Response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
 pub enum ConnectionResult {
     /// `0x0000` Connection successful.
@@ -113,7 +111,7 @@ impl fmt::Display for ConnectionResult {
 }
 
 /// Result codes for Configuration Response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
 pub enum ConfigureResult {
     /// `0x0000` Success.
@@ -170,7 +168,7 @@ impl fmt::Display for ConfigureResult {
 }
 
 /// Result codes for Move Channel Response / Confirmation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
 pub enum MoveResult {
     /// `0x0000` Move success / confirmed.
@@ -231,7 +229,7 @@ impl fmt::Display for MoveResult {
 }
 
 /// Connection status codes carried alongside a `Pending` connection result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
 pub enum ConnectionStatus {
     /// `0x0000` No further information available.
@@ -260,7 +258,7 @@ impl ConnectionStatus {
 }
 
 /// Information request/response types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
 pub enum InfoType {
     /// `0x0001` Connectionless MTU.

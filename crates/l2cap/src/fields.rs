@@ -14,12 +14,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::code::CommandCode;
 
 /// The paper's four-way field classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FieldClass {
     /// `F` — fixed fields; only the header CID (always `0x0001`).
     Fixed,
@@ -47,7 +45,7 @@ impl fmt::Display for FieldClass {
 }
 
 /// Every field name appearing in the Fig. 6 frame classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum FieldName {
     // L2CAP basic header and C-frame header.
@@ -142,7 +140,7 @@ impl fmt::Display for FieldName {
 }
 
 /// Location of one field within a command's data-field bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FieldSpec {
     /// Which field this is.
     pub name: FieldName,
@@ -461,26 +459,8 @@ impl<'a> IntoIterator for &'a CidpValues {
     }
 }
 
-/// Serializes like a `Vec<u16>`, so swapping the owned vector for the inline
-/// list changes no serialized artifact.
-impl Serialize for CidpValues {
-    fn to_value(&self) -> serde::Value {
-        self.as_slice().to_value()
-    }
-}
-
-impl Deserialize for CidpValues {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let vals = Vec::<u16>::from_value(v)?;
-        if vals.len() > 4 {
-            return Err(serde::DeError::new("at most four CIDP values"));
-        }
-        Ok(CidpValues::from_slice(&vals))
-    }
-}
-
 /// The mutable-core values carried by one encoded command payload.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreFieldValues {
     /// The PSM value, if the command carries one and enough bytes are
     /// present.
@@ -521,7 +501,7 @@ pub fn extract_core_values(code: CommandCode, data: &[u8]) -> CoreFieldValues {
 /// (the LE analogue of [`CoreFieldValues`]): SPSM, MTU, MPS and credits.
 /// These are mutable-application fields on a classic link but the interesting
 /// mutation surface of the LE credit-based flows.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LeFieldValues {
     /// Simplified PSM, if the command carries one.
     pub spsm: Option<u16>,

@@ -131,7 +131,7 @@ impl L2capFrame {
 /// a packet — e.g. into a queue outcome — shares the bytes instead of copying
 /// them, and [`SignalingPacket::parse_buf`] borrows them from the parsed
 /// frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignalingPacket {
     /// The packet identifier matching responses to requests.
     pub identifier: Identifier,

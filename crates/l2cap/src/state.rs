@@ -166,7 +166,7 @@ impl fmt::Display for ChannelState {
 }
 
 /// An event driving the channel state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StateEvent {
     /// A signalling command addressed to this channel was received.
     Recv(CommandCode),
@@ -176,7 +176,7 @@ pub enum StateEvent {
 }
 
 /// What the device does in reaction to an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// Send the given response command.
     Respond(CommandCode),

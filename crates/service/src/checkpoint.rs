@@ -12,7 +12,7 @@
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
-use serde_json::{Error, JsonStreamReader, JsonStreamWriter, StreamDeserialize, StreamSerialize};
+use serde_json::Error;
 
 use crate::corpus::{ClusterKey, CorpusStore};
 use crate::digest::Fnv64;
@@ -39,9 +39,6 @@ pub enum JobOutcome {
     TimedOut,
 }
 
-serde_json::stream_unit_enum!(JobOutcome);
-serde_json::stream_unit_enum_de!(JobOutcome);
-
 impl JobOutcome {
     /// Stable tag for digesting (the enum's wire identity).
     fn digest_tag(self) -> u64 {
@@ -56,7 +53,7 @@ impl JobOutcome {
 /// What one finished job boiled down to.  Everything here derives from the
 /// virtual clock and the seeded RNG streams — no wall-clock anywhere — so
 /// two runs of the same job produce identical summaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JobSummary {
     /// Sweep-wide job index (target-major).
     pub index: usize,
@@ -90,63 +87,8 @@ pub struct JobSummary {
     pub failure: Option<String>,
 }
 
-impl StreamSerialize for JobSummary {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("index", &self.index)
-            .field("target", &self.target)
-            .field("seed", &self.seed)
-            .field("vulnerable", &self.vulnerable)
-            .field("findings", &self.findings)
-            .field("packets_sent", &self.packets_sent)
-            .field("elapsed_secs", &self.elapsed_secs)
-            .field("report_digest", &self.report_digest)
-            .field("trace_digest", &self.trace_digest)
-            .field("coverage_signature", &self.coverage_signature)
-            .field("cluster", &self.cluster)
-            .field("outcome", &self.outcome)
-            .field("failure", &self.failure)
-            .end_object();
-    }
-}
-
-impl StreamDeserialize for JobSummary {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let index = r.key("index")?.value()?;
-        let target = r.key("target")?.value()?;
-        let seed = r.key("seed")?.value()?;
-        let vulnerable = r.key("vulnerable")?.value()?;
-        let findings = r.key("findings")?.value()?;
-        let packets_sent = r.key("packets_sent")?.value()?;
-        let elapsed_secs = r.key("elapsed_secs")?.value()?;
-        let report_digest = r.key("report_digest")?.value()?;
-        let trace_digest = r.key("trace_digest")?.value()?;
-        let coverage_signature = r.key("coverage_signature")?.value()?;
-        let cluster = r.key("cluster")?.value()?;
-        let outcome = r.key("outcome")?.value()?;
-        let failure = r.key("failure")?.value()?;
-        r.end_object()?;
-        Ok(JobSummary {
-            index,
-            target,
-            seed,
-            vulnerable,
-            findings,
-            packets_sent,
-            elapsed_secs,
-            report_digest,
-            trace_digest,
-            coverage_signature,
-            cluster,
-            outcome,
-            failure,
-        })
-    }
-}
-
 /// One committed shard: its jobs plus the digest that pins them.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardRecord {
     /// Shard index (commits are contiguous from zero).
     pub shard: usize,
@@ -174,33 +116,8 @@ impl ShardRecord {
     }
 }
 
-impl StreamSerialize for ShardRecord {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("shard", &self.shard)
-            .field("digest", &self.digest)
-            .field("jobs", &self.jobs)
-            .end_object();
-    }
-}
-
-impl StreamDeserialize for ShardRecord {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let shard = r.key("shard")?.value()?;
-        let digest = r.key("digest")?.value()?;
-        let jobs = r.key("jobs")?.value()?;
-        r.end_object()?;
-        Ok(ShardRecord {
-            shard,
-            digest,
-            jobs,
-        })
-    }
-}
-
 /// The sweep's durable state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Checkpoint {
     /// The sweep definition this checkpoint belongs to.
     pub spec: SweepSpec,
@@ -245,7 +162,7 @@ impl Checkpoint {
 
     /// Serializes the checkpoint (pretty, streamed).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty_streamed(self)
+        serde_json::to_string_pretty(self)
     }
 
     /// Parses a checkpoint back through the streaming reader.
@@ -253,7 +170,7 @@ impl Checkpoint {
     /// # Errors
     /// Returns a `serde_json::Error` on malformed input.
     pub fn from_json(json: &str) -> Result<Checkpoint, Error> {
-        serde_json::from_str_streamed(json)
+        serde_json::from_str(json)
     }
 
     /// Atomically writes the checkpoint to `path`: the JSON lands in a
@@ -285,34 +202,6 @@ impl Checkpoint {
         Checkpoint::from_json(&json).map_err(|source| ServiceError::Json {
             path: path.display().to_string(),
             source,
-        })
-    }
-}
-
-impl StreamSerialize for Checkpoint {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("spec", &self.spec)
-            .field("spec_digest", &self.spec_digest)
-            .field("shards", &self.shards)
-            .field("corpus", &self.corpus)
-            .end_object();
-    }
-}
-
-impl StreamDeserialize for Checkpoint {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let spec = r.key("spec")?.value()?;
-        let spec_digest = r.key("spec_digest")?.value()?;
-        let shards = r.key("shards")?.value()?;
-        let corpus = r.key("corpus")?.value()?;
-        r.end_object()?;
-        Ok(Checkpoint {
-            spec,
-            spec_digest,
-            shards,
-            corpus,
         })
     }
 }

@@ -9,11 +9,11 @@
 //! first job to reach a cluster donates its trace as the exemplar; later
 //! members only bump counts.
 
-use serde_json::{Error, JsonStreamReader, JsonStreamWriter, StreamDeserialize, StreamSerialize};
+use serde::{Deserialize, Serialize};
 use sniffer::Trace;
 
 /// The dedup key: crash identity × state-coverage signature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ClusterKey {
     /// Combined identity digest of the job's crash dumps
     /// ([`crate::digest::crash_dumps_digest`]).
@@ -23,30 +23,8 @@ pub struct ClusterKey {
     pub coverage_signature: u32,
 }
 
-impl StreamSerialize for ClusterKey {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("crash_digest", &self.crash_digest)
-            .field("coverage_signature", &self.coverage_signature)
-            .end_object();
-    }
-}
-
-impl StreamDeserialize for ClusterKey {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let crash_digest = r.key("crash_digest")?.value()?;
-        let coverage_signature = r.key("coverage_signature")?.value()?;
-        r.end_object()?;
-        Ok(ClusterKey {
-            crash_digest,
-            coverage_signature,
-        })
-    }
-}
-
 /// One dedup cluster: every job that tripped the same crash the same way.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CrashCluster {
     /// The dedup key all members share.
     pub key: ClusterKey,
@@ -74,49 +52,12 @@ impl CrashCluster {
     }
 }
 
-impl StreamSerialize for CrashCluster {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("key", &self.key)
-            .field("vuln_ids", &self.vuln_ids)
-            .field("description", &self.description)
-            .field("members", &self.members)
-            .field("member_trace_digests", &self.member_trace_digests)
-            .field("exemplar_job", &self.exemplar_job)
-            .field("exemplar_trace", &self.exemplar_trace)
-            .end_object();
-    }
-}
-
-impl StreamDeserialize for CrashCluster {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let key = r.key("key")?.value()?;
-        let vuln_ids = r.key("vuln_ids")?.value()?;
-        let description = r.key("description")?.value()?;
-        let members = r.key("members")?.value()?;
-        let member_trace_digests = r.key("member_trace_digests")?.value()?;
-        let exemplar_job = r.key("exemplar_job")?.value()?;
-        let exemplar_trace = r.key("exemplar_trace")?.value()?;
-        r.end_object()?;
-        Ok(CrashCluster {
-            key,
-            vuln_ids,
-            description,
-            members,
-            member_trace_digests,
-            exemplar_job,
-            exemplar_trace,
-        })
-    }
-}
-
 /// The corpus store: clusters in first-seen order.
 ///
 /// Jobs are inserted in commit order (shard by shard, jobs ascending within
 /// a shard), so the cluster list — and therefore the serialized corpus — is
 /// deterministic for a given sweep, interrupted or not.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CorpusStore {
     clusters: Vec<CrashCluster>,
 }
@@ -207,23 +148,6 @@ impl CorpusStore {
     }
 }
 
-impl StreamSerialize for CorpusStore {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("clusters", &self.clusters)
-            .end_object();
-    }
-}
-
-impl StreamDeserialize for CorpusStore {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let clusters = r.key("clusters")?.value()?;
-        r.end_object()?;
-        Ok(CorpusStore { clusters })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,10 +200,10 @@ mod tests {
             "x",
             &Trace::new(),
         );
-        let json = serde_json::to_string_streamed(&store);
-        let back: CorpusStore = serde_json::from_str_streamed(&json).unwrap();
+        let json = serde_json::to_string(&store);
+        let back: CorpusStore = serde_json::from_str(&json).unwrap();
         assert_eq!(back, store);
-        assert_eq!(serde_json::to_string_streamed(&back), json);
+        assert_eq!(serde_json::to_string(&back), json);
         assert_eq!(back.clusters()[0].vuln_ids, vec!["V1", "V3"]);
     }
 }

@@ -485,7 +485,7 @@ fn quarantined(job: JobSpec, outcome: JobOutcome, failure: String) -> JobResult 
 fn summarize(job: JobSpec, outcome: &TargetOutcome) -> JobResult {
     let trace = outcome.merged_trace();
     let report_digest =
-        crate::digest::digest_bytes(serde_json::to_string_streamed(&outcome.report).as_bytes());
+        crate::digest::digest_bytes(serde_json::to_string(&outcome.report).as_bytes());
     let trace_digest = crate::digest::trace_digest(&trace);
     // Computed for every job, not just crashing ones: the summary carries it
     // so the corpus store can rank clusters by novelty across the sweep.

@@ -8,7 +8,7 @@
 //! and of checkpoint commit.
 
 use btstack::ProfileId;
-use serde_json::{Error, JsonStreamReader, JsonStreamWriter, StreamDeserialize, StreamSerialize};
+use serde::{Deserialize, Serialize};
 
 use crate::digest::Fnv64;
 
@@ -16,7 +16,7 @@ use crate::digest::Fnv64;
 /// sharded.  Everything the service does is a pure function of this spec
 /// plus the campaign determinism guarantees, which is what makes
 /// checkpoints portable across processes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Human-readable sweep name (lands in checkpoints and reports).
     pub name: String,
@@ -159,40 +159,6 @@ impl SweepSpec {
     }
 }
 
-impl StreamSerialize for SweepSpec {
-    fn stream(&self, w: &mut JsonStreamWriter) {
-        w.begin_object()
-            .field("name", &self.name)
-            .field("targets", &self.targets)
-            .field("seeds", &self.seeds)
-            .field("budget_packets", &self.budget_packets)
-            .field("shard_size", &self.shard_size)
-            .field("watchdog_secs", &self.watchdog_secs)
-            .end_object();
-    }
-}
-
-impl StreamDeserialize for SweepSpec {
-    fn stream_from(r: &mut JsonStreamReader<'_>) -> Result<Self, Error> {
-        r.begin_object()?;
-        let name = r.key("name")?.value()?;
-        let targets = r.key("targets")?.value()?;
-        let seeds = r.key("seeds")?.value()?;
-        let budget_packets = r.key("budget_packets")?.value()?;
-        let shard_size = r.key("shard_size")?.value()?;
-        let watchdog_secs = r.key("watchdog_secs")?.value()?;
-        r.end_object()?;
-        Ok(SweepSpec {
-            name,
-            targets,
-            seeds,
-            budget_packets,
-            shard_size,
-            watchdog_secs,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,9 +200,9 @@ mod tests {
     #[test]
     fn spec_round_trips_through_the_streaming_pair() {
         let spec = spec().with_budget(250);
-        let json = serde_json::to_string_streamed(&spec);
-        let back: SweepSpec = serde_json::from_str_streamed(&json).unwrap();
+        let json = serde_json::to_string(&spec);
+        let back: SweepSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, spec);
-        assert_eq!(serde_json::to_string_streamed(&back), json);
+        assert_eq!(serde_json::to_string(&back), json);
     }
 }

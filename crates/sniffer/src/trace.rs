@@ -2,7 +2,6 @@
 
 use hci::link::{Direction, PacketRecord, SharedTap};
 use serde::{Deserialize, Serialize};
-use serde_json::{StreamDeserialize, StreamSerialize};
 
 /// A captured packet trace: every frame that crossed a link, in order.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,10 +35,9 @@ impl Trace {
     /// Serializes the trace as pretty-printed JSON through the streaming
     /// writer — no intermediate `Value` tree, so archiving a big capture
     /// materializes each frame's bytes once, straight into the output
-    /// buffer.  The document is byte-identical to what the tree-based
-    /// serializer produces.
+    /// buffer.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty_streamed(self)
+        serde_json::to_string_pretty(self)
     }
 
     /// Parses a trace back from JSON through the streaming reader — the
@@ -50,7 +48,7 @@ impl Trace {
     /// # Errors
     /// Returns a `serde_json::Error` if the input is not a valid trace.
     pub fn from_json(json: &str) -> Result<Trace, serde_json::Error> {
-        serde_json::from_str_streamed(json)
+        serde_json::from_str(json)
     }
 
     /// Appends a record.
@@ -152,25 +150,6 @@ impl Trace {
 impl Extend<PacketRecord> for Trace {
     fn extend<T: IntoIterator<Item = PacketRecord>>(&mut self, iter: T) {
         self.records.extend(iter);
-    }
-}
-
-/// Streams like the derived encoding: `{records: [...]}`.
-impl StreamSerialize for Trace {
-    fn stream(&self, w: &mut serde_json::JsonStreamWriter) {
-        w.begin_object()
-            .field("records", &self.records)
-            .end_object();
-    }
-}
-
-/// The reading mirror of the streamed encoding above.
-impl StreamDeserialize for Trace {
-    fn stream_from(r: &mut serde_json::JsonStreamReader<'_>) -> Result<Self, serde_json::Error> {
-        r.begin_object()?;
-        let records = r.key("records")?.value()?;
-        r.end_object()?;
-        Ok(Trace { records })
     }
 }
 

@@ -77,11 +77,11 @@ fn feedback_corpus() -> String {
 
 fn energy_schedule() -> String {
     let visits = BTreeMap::from([(ChannelState::Open, 3), (ChannelState::WaitConfig, 1)]);
-    serde_json::to_string_streamed(&EnergySchedule::plan(LinkType::BrEdr, &visits, 321))
+    serde_json::to_string(&EnergySchedule::plan(LinkType::BrEdr, &visits, 321))
 }
 
 fn analysis_report() -> String {
-    serde_json::to_string_streamed(&AnalysisReport::run(&Allowlist::default(), None))
+    serde_json::to_string(&AnalysisReport::run(&Allowlist::default(), None))
 }
 
 #[test]

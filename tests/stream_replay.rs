@@ -11,7 +11,7 @@ use l2fuzz_repro::l2fuzz::campaign::Campaign;
 use l2fuzz_repro::l2fuzz::report::FuzzReport;
 use l2fuzz_repro::service::{Checkpoint, CorpusStore, ServiceReport, SweepService, SweepSpec};
 use l2fuzz_repro::sniffer::Trace;
-use serde_json::{from_str_streamed, to_string_pretty_streamed, to_string_streamed};
+use serde_json::{from_str, to_string, to_string_pretty};
 
 /// A finished sweep with at least one crash cluster, for realistic
 /// checkpoint and corpus payloads.
@@ -40,17 +40,17 @@ fn fuzz_report_replays_byte_identically_through_the_reader() {
         .expect("campaign runs")
         .into_single();
 
-    let compact = to_string_streamed(&outcome.report);
-    let back: FuzzReport = from_str_streamed(&compact).expect("report parses");
+    let compact = to_string(&outcome.report);
+    let back: FuzzReport = from_str(&compact).expect("report parses");
     assert_eq!(back, outcome.report);
-    assert_eq!(to_string_streamed(&back), compact);
+    assert_eq!(to_string(&back), compact);
 
     // Pretty output parses back to the same value and re-serializes to the
     // same pretty bytes — whitespace handling is total.
-    let pretty = to_string_pretty_streamed(&outcome.report);
-    let from_pretty: FuzzReport = from_str_streamed(&pretty).expect("pretty parses");
+    let pretty = to_string_pretty(&outcome.report);
+    let from_pretty: FuzzReport = from_str(&pretty).expect("pretty parses");
     assert_eq!(from_pretty, outcome.report);
-    assert_eq!(to_string_pretty_streamed(&from_pretty), pretty);
+    assert_eq!(to_string_pretty(&from_pretty), pretty);
 }
 
 #[test]
@@ -91,10 +91,10 @@ fn corpus_and_report_replay_byte_identically_through_the_reader() {
     let (_, report) = finished_sweep();
 
     // The corpus store alone (the artifact an operator ships around).
-    let corpus_json = to_string_streamed(&report.corpus);
-    let corpus: CorpusStore = from_str_streamed(&corpus_json).expect("corpus parses");
+    let corpus_json = to_string(&report.corpus);
+    let corpus: CorpusStore = from_str(&corpus_json).expect("corpus parses");
     assert_eq!(corpus, report.corpus);
-    assert_eq!(to_string_streamed(&corpus), corpus_json);
+    assert_eq!(to_string(&corpus), corpus_json);
 
     // Every cluster's exemplar trace survived intact inside the store.
     for (ours, theirs) in corpus.clusters().iter().zip(report.corpus.clusters()) {
