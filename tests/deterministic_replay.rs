@@ -7,11 +7,14 @@
 
 use btstack::profiles::{DeviceProfile, ProfileId};
 use l2fuzz::campaign::{
-    Campaign, CampaignOutcome, SeedSweepExecutor, SerialExecutor, ShardedExecutor, TargetOutcome,
+    Campaign, CampaignOutcome, OraclePolicy, SeedSweepExecutor, SerialExecutor, ShardedExecutor,
+    TargetOutcome,
 };
 use l2fuzz::config::FuzzConfig;
+use l2fuzz::fuzzer::TxBudget;
 use l2fuzz::report::FuzzReport;
 use l2fuzz::session::L2FuzzTool;
+use service::digest::Fnv64;
 use sniffer::Trace;
 
 /// One complete, self-contained single-target campaign: fresh clock, fresh
@@ -169,6 +172,68 @@ fn multi_initiator_campaigns_replay_bit_for_bit() {
     };
     let first = run();
     assert_eq!(first, run(), "concurrent schedules diverged between runs");
+}
+
+/// FNV digest of a [`fingerprint`] plus the number of frames it holds.
+fn schedule_pin(targets: &[TargetOutcome]) -> (u64, usize) {
+    let mut h = Fnv64::new();
+    let mut frames = 0;
+    for (reports, traces) in fingerprint(targets) {
+        for report in &reports {
+            h.write_str(report);
+        }
+        for trace in &traces {
+            h.write_u64(trace.len() as u64);
+            for record in trace {
+                h.write_u64(record.len() as u64);
+                h.write(record);
+            }
+            frames += trace.len();
+        }
+    }
+    (h.finish(), frames)
+}
+
+#[test]
+fn concurrent_schedules_match_their_pins() {
+    // `multi_initiator_campaigns_replay_bit_for_bit` compares two runs of
+    // one build, so a turnstile that is deterministic but admits events in
+    // a different order would still pass it.  These literal pins fix the
+    // admission order itself: the budget-driven scaling campaign on the
+    // hardened D4 (400 packets split evenly over 2, 4 and 8 initiators) and
+    // the dual-transport D10 campaign.
+    for (initiators, digest, frames) in [
+        (2usize, 0x888D_3045_4078_6A24u64, 684usize),
+        (4, 0x0D41_ED0D_9161_FE59, 768),
+        (8, 0x4E3C_5FD5_D2A9_2B71, 936),
+    ] {
+        let outcome = Campaign::builder()
+            .target(DeviceProfile::table5(ProfileId::D4))
+            .initiators_per_target(initiators)
+            .fuzzer(|| Box::new(L2FuzzTool::new(FuzzConfig::budget_driven())))
+            .budget(TxBudget::packets(400 / initiators as u64))
+            .oracle(OraclePolicy::None)
+            .auto_restart(true)
+            .seed(0x5CA1E)
+            .run()
+            .expect("scaling campaign runs");
+        assert_eq!(
+            schedule_pin(&outcome.targets),
+            (digest, frames),
+            "D4 schedule with {initiators} initiators moved"
+        );
+    }
+    let dual = Campaign::builder()
+        .target(DeviceProfile::table5(ProfileId::D10))
+        .dual_transport()
+        .seed(0xD5EED)
+        .run()
+        .expect("dual-transport campaign runs");
+    assert_eq!(
+        schedule_pin(&dual.targets),
+        (0xB32C_06EE_2DF3_E094, 928),
+        "dual-transport D10 schedule moved"
+    );
 }
 
 #[test]
