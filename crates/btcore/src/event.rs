@@ -17,9 +17,19 @@
 //! (its fuzzer is mutating packets) simply holds the others at the
 //! turnstile until it either fires or retires — wall-clock stalls never
 //! reorder virtual time.
+//!
+//! The turnstile hands the right to fire directly to one thread.  Every
+//! state change (a source queueing up, finishing an event, retiring) ends in
+//! one admission step: if nobody is firing and the minimum live source is
+//! waiting, that source is marked firing and *its* thread — and only its
+//! thread — is unparked.  One event therefore costs at most one wake-up, and
+//! a thread never wakes just to find it still may not fire.  Initiators on
+//! one target never run in parallel; the handoff is the whole cost of
+//! sharing a target.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
+use std::thread::{self, Thread};
 
 use crate::rng::splitmix64;
 
@@ -48,7 +58,7 @@ enum SourceState {
     /// Computing: the source's next event fires no earlier than its local
     /// lower-bound time.
     Idle,
-    /// Blocked at the turnstile wanting to fire at its lower-bound time.
+    /// Parked at the turnstile wanting to fire at its lower-bound time.
     Waiting,
     /// Admitted: currently firing an event.  At most one source at a time.
     Firing,
@@ -62,6 +72,9 @@ struct Source {
     /// decreases.
     time_micros: u64,
     state: SourceState,
+    /// The thread parked in [`EventScheduler::begin_event`] while the source
+    /// is `Waiting`; taken when the source is admitted.
+    waiter: Option<Thread>,
 }
 
 #[derive(Debug)]
@@ -70,19 +83,27 @@ struct SchedulerState {
 }
 
 impl SchedulerState {
-    /// Whether `id` holds the minimum `(time, id)` stamp among sources that
-    /// could still fire earlier, and no other source is mid-event.
-    fn may_fire(&self, id: SourceId) -> bool {
-        let me = &self.sources[id.0 as usize];
-        self.sources.iter().enumerate().all(|(i, s)| {
-            if i == id.0 as usize || s.state == SourceState::Retired {
-                return true;
+    /// The admission step.  If no source is firing and the minimum live
+    /// `(time, id)` source is waiting, marks it firing and returns its
+    /// parked thread.  An idle minimum admits nobody: that source may still
+    /// fire earlier than everyone queued behind it.
+    fn admit_next(&mut self) -> Option<Thread> {
+        let mut next: Option<&mut Source> = None;
+        for s in &mut self.sources {
+            match s.state {
+                SourceState::Firing => return None,
+                SourceState::Retired => {}
+                // Strict `<` keeps the lower id on a tie.
+                SourceState::Idle | SourceState::Waiting => {
+                    if next.as_ref().is_none_or(|n| s.time_micros < n.time_micros) {
+                        next = Some(s);
+                    }
+                }
             }
-            if s.state == SourceState::Firing {
-                return false;
-            }
-            (s.time_micros, i) > (me.time_micros, id.0 as usize)
-        })
+        }
+        let s = next.filter(|s| s.state == SourceState::Waiting)?;
+        s.state = SourceState::Firing;
+        s.waiter.take()
     }
 }
 
@@ -92,15 +113,23 @@ impl SchedulerState {
 /// With a single live source the scheduler is a formality: the fast path
 /// admits the event with one atomic increment — no lock, no wake-up — so
 /// single-initiator campaigns pay essentially nothing per exchange.  The
-/// fast path is sound because sources must be registered *before*
-/// concurrent driving begins (the campaign harness connects every link,
-/// then spawns the initiator threads): while `active == 1`, the sole live
-/// source is by construction the caller, and there is nobody to order
+/// fast path stays because the handoff, cheap as it is, still takes the
+/// lock twice per event.  It is sound because sources must be registered
+/// *before* concurrent driving begins (the campaign harness connects every
+/// link, then spawns the initiator threads): while `active == 1`, the sole
+/// live source is by construction the caller, and there is nobody to order
 /// against or wake.
+///
+/// With several live sources each event is a handoff: the thread that
+/// finishes an event (or queues up, or retires) admits the next source
+/// itself and unparks exactly that source's thread.  [`wakeups`] counts
+/// these unparks; it never exceeds the number of events fired plus the
+/// number of retirements.
+///
+/// [`wakeups`]: EventScheduler::wakeups
 #[derive(Debug)]
 pub struct EventScheduler {
     state: Mutex<SchedulerState>,
-    turn: Condvar,
     seed: u64,
     /// Sources that have not retired.  Kept outside the mutex so the
     /// sole-source fast path is a single atomic load.
@@ -108,6 +137,8 @@ pub struct EventScheduler {
     /// Global firing counter; shared by both admission paths so per-event
     /// seeds are identical no matter which path admitted an event.
     fired: AtomicU64,
+    /// Threads unparked by the handoff.
+    wakeups: AtomicU64,
 }
 
 impl EventScheduler {
@@ -117,10 +148,10 @@ impl EventScheduler {
             state: Mutex::new(SchedulerState {
                 sources: Vec::new(),
             }),
-            turn: Condvar::new(),
             seed,
             active: AtomicUsize::new(0),
             fired: AtomicU64::new(0),
+            wakeups: AtomicU64::new(0),
         }
     }
 
@@ -138,6 +169,7 @@ impl EventScheduler {
         state.sources.push(Source {
             time_micros,
             state: SourceState::Idle,
+            waiter: None,
         });
         self.active.fetch_add(1, Ordering::Release);
         id
@@ -153,11 +185,27 @@ impl EventScheduler {
         self.fired.load(Ordering::Acquire)
     }
 
+    /// Total threads the handoff has unparked so far: at most one per
+    /// event fired or source retired, and zero on the fast path.
+    pub fn wakeups(&self) -> u64 {
+        self.wakeups.load(Ordering::Acquire)
+    }
+
     fn ticket(&self, seq: u64, fast: bool) -> EventTicket {
         EventTicket {
             seq,
             seed: splitmix64(self.seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             fast,
+        }
+    }
+
+    /// Unparks the thread an admission step picked, if any.  Called with
+    /// the scheduler lock released, so the woken thread does not block on
+    /// it straight away.
+    fn hand_off(&self, admitted: Option<Thread>) {
+        if let Some(thread) = admitted {
+            self.wakeups.fetch_add(1, Ordering::Relaxed);
+            thread.unpark();
         }
     }
 
@@ -193,22 +241,32 @@ impl EventScheduler {
             );
             me.time_micros = time_micros;
             me.state = SourceState::Waiting;
+            me.waiter = Some(thread::current());
         }
-        // Raising this source's lower bound may be exactly what another
-        // waiter was blocked on — wake the turnstile before queueing up.
-        self.turn.notify_all();
-        while !state.may_fire(id) {
-            // analyzer: allow(panic) — lock poisoning propagates a panic.
-            state = self.turn.wait(state).expect("scheduler poisoned");
+        let admitted = state.admit_next();
+        if state.sources[id.0 as usize].state != SourceState::Firing {
+            drop(state);
+            // Raising this source's lower bound may be exactly what another
+            // waiter was blocked on.
+            self.hand_off(admitted);
+            // Whoever admits this source unparks it; a wake-up that finds it
+            // still waiting is spurious.
+            loop {
+                thread::park();
+                // analyzer: allow(panic) — lock poisoning propagates a panic.
+                let state = self.state.lock().expect("scheduler poisoned");
+                if state.sources[id.0 as usize].state == SourceState::Firing {
+                    break;
+                }
+            }
         }
-        state.sources[id.0 as usize].state = SourceState::Firing;
         let seq = self.fired.fetch_add(1, Ordering::Relaxed);
         self.ticket(seq, false)
     }
 
     /// Completes the event `ticket` admitted for source `id`, raising the
     /// source's lower bound to `time_micros` (the virtual time the exchange
-    /// ended at) and waking the turnstile.
+    /// ended at) and handing the turnstile to the next source.
     pub fn end_event(&self, id: SourceId, time_micros: u64, ticket: &EventTicket) {
         if ticket.fast {
             // Fast-path admission touched no turnstile state.
@@ -220,22 +278,27 @@ impl EventScheduler {
         debug_assert_eq!(me.state, SourceState::Firing);
         me.time_micros = me.time_micros.max(time_micros);
         me.state = SourceState::Idle;
+        let next = state.admit_next();
         drop(state);
-        self.turn.notify_all();
+        self.hand_off(next);
     }
 
     /// Retires a source: it never fires again and stops holding the other
-    /// sources back.  Idempotent.
+    /// sources back.  Idempotent.  A source retired while firing (its
+    /// thread unwinding from a panic) releases the turnstile too.
     pub fn retire(&self, id: SourceId) {
         // analyzer: allow(panic) — lock poisoning propagates a driver panic.
         let mut state = self.state.lock().expect("scheduler poisoned");
         let me = &mut state.sources[id.0 as usize];
-        if me.state != SourceState::Retired {
-            me.state = SourceState::Retired;
-            self.active.fetch_sub(1, Ordering::Release);
+        if me.state == SourceState::Retired {
+            return;
         }
+        me.state = SourceState::Retired;
+        me.waiter = None;
+        self.active.fetch_sub(1, Ordering::Release);
+        let next = state.admit_next();
         drop(state);
-        self.turn.notify_all();
+        self.hand_off(next);
     }
 }
 
@@ -330,6 +393,111 @@ mod tests {
             assert_eq!(waiter.join().unwrap(), 1);
         });
         assert_eq!(sched.active_sources(), 0);
+    }
+
+    #[test]
+    fn tied_sources_fire_in_time_then_id_order() {
+        // Eight sources start together and every event time ties across all
+        // of them: the tie-break alone orders each round, so the admitted
+        // order must be sorted by (time, id) and `seq` must be the position.
+        const SOURCES: u16 = 8;
+        let sched = EventScheduler::new(3);
+        let ids: Vec<SourceId> = (0..SOURCES).map(|_| sched.register(0)).collect();
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for &id in &ids {
+                let (sched, order) = (&sched, &order);
+                scope.spawn(move || {
+                    for k in 0..20u64 {
+                        let t = 10 * k;
+                        let ticket = sched.begin_event(id, t);
+                        order.lock().unwrap().push((ticket.seq, t, id));
+                        sched.end_event(id, t, &ticket);
+                    }
+                    sched.retire(id);
+                });
+            }
+        });
+        let mut order = order.into_inner().unwrap();
+        order.sort_unstable();
+        assert_eq!(order.len(), 20 * usize::from(SOURCES));
+        for (pos, event) in order.iter().enumerate() {
+            assert_eq!(event.0, pos as u64, "seq is not the firing position");
+        }
+        assert!(
+            order
+                .windows(2)
+                .all(|w| (w[0].1, w[0].2) < (w[1].1, w[1].2)),
+            "admitted order is not sorted by (time, source id)"
+        );
+    }
+
+    /// Retires its source when dropped, like the medium's link guard.
+    struct RetireOnDrop<'a>(&'a EventScheduler, SourceId);
+
+    impl Drop for RetireOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.retire(self.1);
+        }
+    }
+
+    #[test]
+    fn firing_source_retired_by_an_unwind_admits_the_next_waiter() {
+        let sched = EventScheduler::new(5);
+        let first = sched.register(0);
+        let second = sched.register(0);
+        std::thread::scope(|scope| {
+            let sched = &sched;
+            let panicking = scope.spawn(move || {
+                let _guard = RetireOnDrop(sched, first);
+                let _ticket = sched.begin_event(first, 0);
+                // Hold the turnstile until the other source queues up on it.
+                while sched.state.lock().unwrap().sources[second.0 as usize].state
+                    == SourceState::Idle
+                {
+                    std::thread::yield_now();
+                }
+                panic!("initiator failed mid-event");
+            });
+            let waiter = scope.spawn(move || {
+                let ticket = sched.begin_event(second, 0);
+                sched.end_event(second, 1, &ticket);
+                sched.retire(second);
+                ticket.seq
+            });
+            assert!(panicking.join().is_err());
+            assert_eq!(waiter.join().unwrap(), 1);
+        });
+        assert_eq!(sched.active_sources(), 0);
+    }
+
+    #[test]
+    fn handoff_wakes_at_most_one_thread_per_event() {
+        for threads in [2u16, 4, 8] {
+            let sched = EventScheduler::new(11);
+            let ids: Vec<SourceId> = (0..threads).map(|i| sched.register(u64::from(i))).collect();
+            std::thread::scope(|scope| {
+                for &id in &ids {
+                    let sched = &sched;
+                    scope.spawn(move || {
+                        for k in 0..200u64 {
+                            let t = u64::from(id.0) + u64::from(threads) * k;
+                            let ticket = sched.begin_event(id, t);
+                            sched.end_event(id, t + 1, &ticket);
+                        }
+                        sched.retire(id);
+                    });
+                }
+            });
+            let retirements = u64::from(threads);
+            assert_eq!(sched.events_fired(), 200 * retirements);
+            assert!(
+                sched.wakeups() <= sched.events_fired() + retirements,
+                "{threads} threads: {} wake-ups for {} events and {retirements} retirements",
+                sched.wakeups(),
+                sched.events_fired()
+            );
+        }
     }
 
     #[test]
