@@ -161,11 +161,15 @@ impl VulnerabilityDetector {
         // The ping failed: classify with the oracle when available.
         let (error, crash_dump) = match oracle {
             Some(oracle) => {
-                let error = match oracle.ping() {
-                    PingOutcome::Answered => ConnectionError::Timeout,
-                    PingOutcome::Failed(e) => e,
-                };
-                (error, oracle.take_crash_dump())
+                let outcome = oracle.ping();
+                let crash_dump = oracle.take_crash_dump();
+                match outcome {
+                    // The service answers out of band and left no dump: the
+                    // link lost the pings, the target did not.
+                    PingOutcome::Answered if !crash_dump => return DetectionVerdict::Healthy,
+                    PingOutcome::Answered => (ConnectionError::Timeout, crash_dump),
+                    PingOutcome::Failed(e) => (e, crash_dump),
+                }
             }
             None => (ConnectionError::Timeout, false),
         };
@@ -186,7 +190,7 @@ impl VulnerabilityDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btcore::{Cid, FuzzRng, Psm, SimClock};
+    use btcore::{Cid, FuzzRng, LinkSlot, Psm, SimClock};
     use btstack::device::{share, DeviceOracle, SharedSimulatedDevice};
     use btstack::profiles::{DeviceProfile, ProfileId};
     use hci::device::VirtualDevice;
@@ -194,7 +198,7 @@ mod tests {
     use hci::medium::{EventMedium, LinkHandle, Medium};
     use l2cap::command::ConnectionRequest;
     use l2cap::packet::signaling_frame;
-    use l2cap::packet::SignalingPacket;
+    use l2cap::packet::{L2capFrame, SignalingPacket};
 
     fn setup(id: ProfileId) -> (SharedSimulatedDevice, LinkHandle) {
         let clock = SimClock::new();
@@ -206,6 +210,18 @@ mod tests {
             .connect(profile.addr, LinkConfig::ideal(), FuzzRng::seed_from(10))
             .unwrap();
         (shared, link)
+    }
+
+    /// The case-study malformed Configuration Request that fires D2's
+    /// seeded DoS (hit probability is < 1, so callers repeat it).
+    fn d2_dos_packet(i: u16) -> L2capFrame {
+        SignalingPacket {
+            identifier: Identifier((i % 250 + 1) as u8),
+            code: 0x04,
+            declared_data_len: 8,
+            data: vec![0x8F, 0x7B, 0, 0, 0, 0, 0, 0, 0xD2, 0x3A, 0x91, 0x0E].into(),
+        }
+        .into_frame()
     }
 
     #[test]
@@ -242,6 +258,56 @@ mod tests {
     }
 
     #[test]
+    fn oracle_clears_pings_lost_on_the_link() {
+        use hci::fault::FaultPlan;
+        let clock = SimClock::new();
+        let mut air = EventMedium::new(clock.clone());
+        let profile = DeviceProfile::table5(ProfileId::D2);
+        let (shared, adapter) = share(profile.build(clock.clone(), FuzzRng::seed_from(9)));
+        air.register_shared(adapter);
+        // Every frame is swallowed, so every ping fails while the device
+        // itself keeps running.
+        let config = LinkConfig::ideal().with_faults(FaultPlan::none().with_loss(1.0));
+        let mut link = air
+            .connect(profile.addr, config, FuzzRng::seed_from(10))
+            .unwrap();
+        let mut oracle = DeviceOracle::new(shared.clone());
+        let mut det = VulnerabilityDetector::new().with_retry(RetryPolicy::flat(2, 1_000));
+        assert_eq!(
+            det.check(&mut link, Some(&mut oracle), true),
+            DetectionVerdict::Healthy
+        );
+        assert_eq!(det.pings_sent(), 2);
+
+        // A target whose service really terminated is still a DoS: fire the
+        // seeded D2 DoS straight into the device, past the dead link.
+        let mut dev = shared.lock();
+        let connect = signaling_frame(
+            Identifier(1),
+            Command::ConnectionRequest(ConnectionRequest {
+                psm: Psm::SDP,
+                scid: Cid(0x0040),
+            }),
+        );
+        dev.receive(LinkSlot::PRIMARY, &connect);
+        for i in 0..2_000u16 {
+            if !dev.bluetooth_alive() {
+                break;
+            }
+            dev.receive(LinkSlot::PRIMARY, &d2_dos_packet(i));
+        }
+        assert!(
+            !dev.bluetooth_alive(),
+            "the seeded DoS must eventually fire"
+        );
+        drop(dev);
+        match det.check(&mut link, Some(&mut oracle), true) {
+            DetectionVerdict::Vulnerable(ev) => assert_eq!(ev.description, "DoS"),
+            DetectionVerdict::Healthy => panic!("a terminated service must stay a DoS"),
+        }
+    }
+
+    #[test]
     fn dos_is_detected_and_classified_with_the_oracle() {
         let (shared, mut link) = setup(ProfileId::D2);
         // Open a channel and send the case-study malformed packet so the
@@ -258,13 +324,7 @@ mod tests {
             if !shared.lock().bluetooth_alive() {
                 break;
             }
-            let packet = SignalingPacket {
-                identifier: Identifier((i % 250 + 1) as u8),
-                code: 0x04,
-                declared_data_len: 8,
-                data: vec![0x8F, 0x7B, 0, 0, 0, 0, 0, 0, 0xD2, 0x3A, 0x91, 0x0E].into(),
-            };
-            link.send_frame(&packet.into_frame());
+            link.send_frame(&d2_dos_packet(i));
         }
         assert!(
             !shared.lock().bluetooth_alive(),

@@ -9,12 +9,13 @@
 //! corruption.  **No false alarms**: a hardened-but-lossy target (D4) never
 //! draws a DoS/Crash verdict, because the detector's ping retries
 //! distinguish a lossy link from a dead target; disarming the retries
-//! reintroduces the false verdicts, proving they are what carries the
-//! property.  **Faulty schedules replay**: every chaos campaign is as
-//! bit-for-bit reproducible as an ideal-link one.
+//! reintroduces the false verdicts in a blind campaign, proving they are
+//! what carries the property, while the out-of-band oracle clears lost
+//! pings on its own.  **Faulty schedules replay**: every chaos campaign is
+//! as bit-for-bit reproducible as an ideal-link one.
 
 use btstack::profiles::{DeviceProfile, ProfileId};
-use l2fuzz::campaign::Campaign;
+use l2fuzz::campaign::{Campaign, OraclePolicy};
 use l2fuzz::config::FuzzConfig;
 use l2fuzz::session::L2FuzzTool;
 use l2fuzz::{FaultPlan, RetryPolicy};
@@ -119,28 +120,39 @@ fn hardened_lossy_target_draws_zero_false_dos_verdicts() {
 #[test]
 fn disarming_ping_retries_reintroduces_the_false_verdicts() {
     // The control experiment: same faulty link, retries explicitly off.
-    // A single unanswered ping now counts as a dead target, so the lossy
-    // link produces a false verdict — proving the retry policy (not luck)
-    // is what carries `hardened_lossy_target_draws_zero_false_dos_verdicts`.
+    // A blind campaign has nothing but the ping to go on, so a single
+    // unanswered ping counts as a dead target and the lossy link produces
+    // a false verdict — proving the retry policy (not luck) is what carries
+    // `hardened_lossy_target_draws_zero_false_dos_verdicts`.  With the
+    // out-of-band oracle attached, the service answering and leaving no
+    // crash dump clears the lost pings, retries or not.
+    let vulnerable = |seed: u64, oracle: OraclePolicy| {
+        Campaign::builder()
+            .target(DeviceProfile::table5(ProfileId::D4))
+            .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 5)))
+            .faults(FaultPlan::degraded(0.15, 0.05))
+            .retry(RetryPolicy::none())
+            .oracle(oracle)
+            .seed(seed)
+            .run()
+            .expect("campaign runs")
+            .into_single()
+            .report
+            .vulnerable()
+    };
     let false_verdicts = (0u64..6)
-        .filter(|&seed| {
-            Campaign::builder()
-                .target(DeviceProfile::table5(ProfileId::D4))
-                .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 5)))
-                .faults(FaultPlan::degraded(0.15, 0.05))
-                .retry(RetryPolicy::none())
-                .seed(seed)
-                .run()
-                .expect("campaign runs")
-                .into_single()
-                .report
-                .vulnerable()
-        })
+        .filter(|&seed| vulnerable(seed, OraclePolicy::None))
         .count();
     assert!(
         false_verdicts > 0,
         "without retries a 15%-loss link should masquerade as dead at least once"
     );
+    for seed in 0u64..6 {
+        assert!(
+            !vulnerable(seed, OraclePolicy::OutOfBand),
+            "seed {seed}: the oracle must clear pings lost on the link"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
