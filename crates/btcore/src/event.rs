@@ -294,7 +294,6 @@ impl EventScheduler {
             return;
         }
         me.state = SourceState::Retired;
-        me.waiter = None;
         self.active.fetch_sub(1, Ordering::Release);
         let next = state.admit_next();
         drop(state);

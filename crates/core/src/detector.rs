@@ -201,15 +201,24 @@ mod tests {
     use l2cap::packet::{L2capFrame, SignalingPacket};
 
     fn setup(id: ProfileId) -> (SharedSimulatedDevice, LinkHandle) {
+        setup_on(id, LinkConfig::ideal())
+    }
+
+    fn setup_on(id: ProfileId, config: LinkConfig) -> (SharedSimulatedDevice, LinkHandle) {
         let clock = SimClock::new();
         let mut air = EventMedium::new(clock.clone());
         let profile = DeviceProfile::table5(id);
         let (shared, adapter) = share(profile.build(clock.clone(), FuzzRng::seed_from(9)));
         air.register_shared(adapter);
         let link = air
-            .connect(profile.addr, LinkConfig::ideal(), FuzzRng::seed_from(10))
+            .connect(profile.addr, config, FuzzRng::seed_from(10))
             .unwrap();
         (shared, link)
+    }
+
+    /// A link that swallows every frame.
+    fn dead_link() -> LinkConfig {
+        LinkConfig::ideal().with_faults(hci::fault::FaultPlan::none().with_loss(1.0))
     }
 
     /// The case-study malformed Configuration Request that fires D2's
@@ -236,19 +245,9 @@ mod tests {
 
     #[test]
     fn retry_policy_bounds_ping_attempts_and_burns_virtual_time() {
-        use hci::fault::FaultPlan;
-        use hci::link::LinkConfig as Cfg;
-        let clock = SimClock::new();
-        let mut air = EventMedium::new(clock.clone());
-        let profile = DeviceProfile::table5(ProfileId::D2);
-        let (_shared, adapter) = share(profile.build(clock.clone(), FuzzRng::seed_from(9)));
-        air.register_shared(adapter);
         // Every frame is swallowed: the ping can never succeed, so the
         // detector must exhaust exactly `max_attempts` pings and give up.
-        let config = Cfg::ideal().with_faults(FaultPlan::none().with_loss(1.0));
-        let mut link = air
-            .connect(profile.addr, config, FuzzRng::seed_from(10))
-            .unwrap();
+        let (_dev, mut link) = setup_on(ProfileId::D2, dead_link());
         let mut det = VulnerabilityDetector::new().with_retry(RetryPolicy::flat(3, 1_000));
         let before = link.clock().now_micros();
         let verdict = det.check(&mut link, None, true);
@@ -259,18 +258,9 @@ mod tests {
 
     #[test]
     fn oracle_clears_pings_lost_on_the_link() {
-        use hci::fault::FaultPlan;
-        let clock = SimClock::new();
-        let mut air = EventMedium::new(clock.clone());
-        let profile = DeviceProfile::table5(ProfileId::D2);
-        let (shared, adapter) = share(profile.build(clock.clone(), FuzzRng::seed_from(9)));
-        air.register_shared(adapter);
         // Every frame is swallowed, so every ping fails while the device
         // itself keeps running.
-        let config = LinkConfig::ideal().with_faults(FaultPlan::none().with_loss(1.0));
-        let mut link = air
-            .connect(profile.addr, config, FuzzRng::seed_from(10))
-            .unwrap();
+        let (shared, mut link) = setup_on(ProfileId::D2, dead_link());
         let mut oracle = DeviceOracle::new(shared.clone());
         let mut det = VulnerabilityDetector::new().with_retry(RetryPolicy::flat(2, 1_000));
         assert_eq!(
