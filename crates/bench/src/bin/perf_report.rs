@@ -35,7 +35,7 @@ use l2cap::code::CommandCode;
 use l2cap::command::{Command, ConnectionRequest};
 use l2cap::packet::{parse_signaling, signaling_frame, L2capFrame};
 use l2cap::state::StateMachine;
-use l2fuzz::campaign::{Campaign, OraclePolicy, SeedSweepExecutor};
+use l2fuzz::campaign::{Campaign, OraclePolicy};
 use l2fuzz::config::FuzzConfig;
 use l2fuzz::fuzzer::TxBudget;
 use l2fuzz::guide::ChannelContext;
@@ -287,7 +287,7 @@ fn main() {
     }
 
     // 8. seed_sweep — four independently seeded 125-packet campaigns per
-    //    iteration through `SeedSweepExecutor` (500 packets total),
+    //    iteration through `CampaignBuilder::sweep` (500 packets total),
     //    exercising per-seed environment setup and teardown.
     {
         results.push(measure("seed_sweep", 15, 500, || {
@@ -297,7 +297,7 @@ fn main() {
                 .budget(TxBudget::packets(125))
                 .oracle(OraclePolicy::None)
                 .auto_restart(true)
-                .executor(SeedSweepExecutor::derived(0x53ED, 4))
+                .sweep(btcore::sweep_seeds(0x53ED, 4))
                 .run()
                 .expect("seed sweep runs");
             std::hint::black_box(outcome.targets.len());

@@ -13,7 +13,7 @@
 
 use btstack::profiles::{DeviceProfile, ProfileId};
 use feedback::{FeedbackCampaignExt, FeedbackConfig};
-use l2fuzz::campaign::{Campaign, CampaignOutcome, OraclePolicy, ShardedExecutor};
+use l2fuzz::campaign::{Campaign, CampaignOutcome, OraclePolicy};
 use l2fuzz::config::FuzzConfig;
 use l2fuzz::fuzzer::{Fuzzer, TxBudget};
 use l2fuzz::report::FuzzReport;
@@ -48,7 +48,7 @@ pub fn table6_survey(seed: u64, max_campaigns: usize, threads: usize) -> Campaig
         .fuzzer(move || Box::new(L2FuzzTool::detection(FuzzConfig::default(), max_campaigns)))
         .oracle(OraclePolicy::OutOfBand)
         .seed(seed)
-        .executor(ShardedExecutor::new(threads))
+        .threads(threads)
         .run()
         .expect("table 6 survey runs")
 }

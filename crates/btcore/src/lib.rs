@@ -53,4 +53,4 @@ pub use event::{EventScheduler, EventTicket, SourceId};
 pub use framebuf::{FrameArena, FrameBuf, FrameBufMut};
 pub use ids::{Cid, ConnectionHandle, Identifier, Psm};
 pub use oracle::{PingOutcome, TargetOracle};
-pub use rng::{splitmix64, FuzzRng};
+pub use rng::{splitmix64, sweep_seeds, FuzzRng};

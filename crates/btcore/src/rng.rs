@@ -19,6 +19,12 @@ pub fn splitmix64(input: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The seeds of a sweep: `count` independent campaign seeds derived from
+/// `base`, one SplitMix64 step each.
+pub fn sweep_seeds(base: u64, count: usize) -> impl Iterator<Item = u64> {
+    (0..count as u64).map(move |i| splitmix64(base.wrapping_add(i)))
+}
+
 /// A deterministic random number generator seeded from a single `u64`.
 ///
 /// # Example

@@ -25,8 +25,8 @@
 //! own [`EventMedium`], and RNG streams derived from the campaign seed and
 //! the target's position in the list.  Nothing is shared between targets,
 //! so the per-target [`FuzzReport`]s and traces are a pure function of the
-//! campaign seed — identical under [`SerialExecutor`] and under
-//! [`ShardedExecutor`] at any thread count.  *Within* a target, concurrent
+//! campaign seed — identical inline and at any
+//! [`CampaignBuilder::threads`] count.  *Within* a target, concurrent
 //! initiators are serialized by the medium's event scheduler in virtual-time
 //! order, so multi-initiator campaigns replay bit-for-bit too.
 //! `tests/deterministic_replay.rs` enforces all of this.
@@ -43,16 +43,19 @@
 //! campaigns look exactly like before); the rest are in
 //! [`TargetOutcome::secondary`].
 //!
-//! # Executors
+//! # Units and threads
 //!
-//! [`CampaignExecutor`] decides how the per-target environments are driven:
-//! [`SerialExecutor`] runs them one after another on the calling thread,
-//! [`ShardedExecutor`] partitions them across worker threads, and
-//! [`SeedSweepExecutor`] runs *many campaigns per target* — one per sweep
-//! seed — which is how probability-gated triggers (the LE credit-flow
-//! vulnerabilities) get a fair chance to fire.
+//! A campaign runs one unit per `(target, seed)` pair, target-major.  The
+//! seeds are the campaign seed alone unless [`CampaignBuilder::sweep`] runs
+//! *many campaigns per target* — one per sweep seed — which is how
+//! probability-gated triggers (the LE credit-flow vulnerabilities) get a
+//! fair chance to fire.  With one thread (the default) the units run one
+//! after another on the calling thread; [`CampaignBuilder::threads`] spreads
+//! them over [`run_in_order`], the worker pool the sweep service shares.
 
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use btcore::{BtError, DeviceMeta, LinkType, SimClock};
@@ -60,7 +63,6 @@ use btstack::device::{share, DeviceOracle, SharedSimulatedDevice};
 use btstack::profiles::DeviceProfile;
 use hci::link::{new_tap, LinkConfig, SharedTap};
 use hci::medium::{EventGate, EventMedium, LinkHandle, LinkSpec, Medium};
-use parking_lot::Mutex;
 use sniffer::Trace;
 
 use crate::config::FuzzConfig;
@@ -75,10 +77,6 @@ use btcore::FuzzRng;
 
 /// Creates one fresh fuzzer instance per campaign initiator.
 pub type FuzzerSpawner = Arc<dyn Fn() -> Box<dyn Fuzzer> + Send + Sync>;
-
-/// What a finished builder decomposes into: the shareable plan, the executor
-/// driving it, and the optional observer clock.
-type PlanParts = (CampaignPlan, Box<dyn CampaignExecutor>, Option<SimClock>);
 
 /// Whether campaign targets are observed out of band.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -161,7 +159,7 @@ impl std::error::Error for CampaignError {}
 
 /// A fully wired, isolated environment for one campaign target.
 ///
-/// Campaign executors build one of these per target; hand-driven flows (the
+/// Campaigns build one of these per target; hand-driven flows (the
 /// BlueBorne replay, the Pixel 3 case study) obtain one through
 /// [`CampaignBuilder::env`] instead of wiring a medium by hand.
 pub struct TargetEnv {
@@ -197,7 +195,7 @@ impl TargetEnv {
     }
 }
 
-/// The immutable description of a campaign, shared by every executor shard.
+/// The immutable description of a campaign, shared by every worker thread.
 pub struct CampaignPlan {
     targets: Vec<DeviceProfile>,
     spawner: FuzzerSpawner,
@@ -320,12 +318,8 @@ impl CampaignPlan {
         self.seed
     }
 
-    fn build_setup(
-        &self,
-        index: usize,
-        campaign_seed: u64,
-        clock: SimClock,
-    ) -> Result<TargetSetup, CampaignError> {
+    fn build_setup(&self, index: usize, campaign_seed: u64) -> Result<TargetSetup, CampaignError> {
+        let clock = SimClock::new();
         let profile = self.targets[index].clone();
         let seed = derive_seed(campaign_seed, index as u64);
         let mut medium = EventMedium::with_seed(clock.clone(), seed);
@@ -387,38 +381,18 @@ impl CampaignPlan {
         })
     }
 
-    fn build_env_on(&self, index: usize, clock: SimClock) -> Result<TargetEnv, CampaignError> {
-        let mut setup = self.build_setup(index, self.seed, clock)?;
-        let initiator = setup.initiators.remove(0);
-        Ok(TargetEnv {
-            profile: setup.profile,
-            device: setup.device,
-            link: initiator.link,
-            tap: initiator.tap,
-            clock: setup.clock,
-            meta: initiator.meta,
-            seed: setup.seed,
-        })
-    }
-
     /// Builds the environment for target `index`, runs the campaign's
-    /// fuzzer(s) in it and collects the outcome, deriving everything from
-    /// the plan's own campaign seed.  This is the unit of work executors
-    /// schedule; it touches no shared state, which is what makes sharding
-    /// deterministic.
-    pub fn run_target(&self, index: usize) -> Result<TargetOutcome, CampaignError> {
-        self.run_target_with_seed(index, self.seed)
-    }
-
-    /// Like [`CampaignPlan::run_target`], but derives the target's streams
-    /// from `campaign_seed` instead of the plan's — the unit of work of
-    /// [`SeedSweepExecutor`], which runs one campaign per sweep seed.
-    pub fn run_target_with_seed(
+    /// fuzzer(s) in it and collects the outcome, deriving the target's
+    /// streams from `campaign_seed` (the plan's own [`CampaignPlan::seed`],
+    /// or a sweep seed).  This is the unit of work of every campaign and of
+    /// the sweep service; it touches no shared state, which is what makes
+    /// threaded runs deterministic.
+    pub fn run_target(
         &self,
         index: usize,
         campaign_seed: u64,
     ) -> Result<TargetOutcome, CampaignError> {
-        let setup = self.build_setup(index, campaign_seed, SimClock::new())?;
+        let setup = self.build_setup(index, campaign_seed)?;
         let device = setup.device;
         let oracle_policy = self.oracle;
         let run_one = |env: &mut InitiatorEnv, fuzzer: &mut Box<dyn Fuzzer>| {
@@ -572,8 +546,8 @@ pub struct TargetOutcome {
     /// The remaining initiators' outcomes, in link order (empty unless the
     /// campaign ran concurrent initiators).
     pub secondary: Vec<InitiatorOutcome>,
-    /// The campaign seed this outcome derives from (differs from the
-    /// builder's seed under [`SeedSweepExecutor`]).
+    /// The campaign seed this outcome derives from (the sweep seed under
+    /// [`CampaignBuilder::sweep`]).
     pub campaign_seed: u64,
     /// Virtual time the target's environment consumed (the latest fired
     /// event across all links).
@@ -612,9 +586,9 @@ impl TargetOutcome {
 
 /// The result of a whole campaign, targets in the order they were added.
 ///
-/// Under [`SeedSweepExecutor`] there is one entry per `(target, seed)` pair,
-/// target-major — all sweep seeds of target 0 first, then target 1, and so
-/// on; [`TargetOutcome::campaign_seed`] identifies the sweep seed.
+/// Under [`CampaignBuilder::sweep`] there is one entry per `(target, seed)`
+/// pair, target-major — all sweep seeds of target 0 first, then target 1,
+/// and so on; [`TargetOutcome::campaign_seed`] identifies the sweep seed.
 pub struct CampaignOutcome {
     /// One outcome per target (or per target × sweep seed).
     pub targets: Vec<TargetOutcome>,
@@ -646,213 +620,75 @@ impl CampaignOutcome {
     }
 }
 
-/// Strategy for driving the per-target environments of a campaign.
-pub trait CampaignExecutor: Send + Sync {
-    /// Executor name for logs.
-    fn name(&self) -> &'static str;
-
-    /// Runs every target of `plan` and returns the outcomes in target order.
-    ///
-    /// # Errors
-    /// Propagates the first [`CampaignError`] any target hit.
-    fn execute(&self, plan: &CampaignPlan) -> Result<Vec<TargetOutcome>, CampaignError>;
-}
-
-/// Runs targets one after another on the calling thread; bit-for-bit the
-/// behaviour the hand-rolled experiment harnesses had.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialExecutor;
-
-impl CampaignExecutor for SerialExecutor {
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-
-    fn execute(&self, plan: &CampaignPlan) -> Result<Vec<TargetOutcome>, CampaignError> {
-        (0..plan.target_count())
-            .map(|i| plan.run_target(i))
-            .collect()
-    }
-}
-
-/// Drives `units` isolated work items across `workers` threads with a
-/// dynamic work index, collecting results in unit order.  Each unit is
-/// self-contained, so threading changes wall-clock time only — the shared
-/// machinery of [`ShardedExecutor`] and [`SeedSweepExecutor`], generic over
-/// the unit result so engines layered on top of the campaign API (the
-/// coverage-feedback corpus merge, for one) shard their own unit types
-/// through the identical scheduling discipline instead of reinventing it.
-pub fn run_sharded<T, F>(units: usize, workers: usize, run: F) -> Result<Vec<T>, CampaignError>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, CampaignError> + Sync,
-{
-    let slots: Vec<Mutex<Option<Result<T, CampaignError>>>> =
-        (0..units).map(|_| Mutex::new(None)).collect();
-    // Dynamic work index rather than static striping: per-unit runtimes are
-    // skewed by orders of magnitude (a hardened device burns its full round
-    // cap while a fragile one falls instantly), so idle workers pull the
-    // next pending unit.  Determinism is untouched — each unit's
-    // environment is isolated and its outcome is keyed by index.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let failed = std::sync::atomic::AtomicBool::new(false);
+/// Runs `units` independent work items on `workers` scoped threads and
+/// commits their results on the calling thread strictly in unit order.
+///
+/// Workers claim unit indices from an atomic cursor as they go idle, so
+/// per-unit runtimes skewed by orders of magnitude (a hardened device burns
+/// its full round cap while a fragile one falls at once) still balance out.
+/// `commit(index, result)` nevertheless sees units `0, 1, 2, ...` in turn,
+/// however the workers interleaved, and runs on the caller, so it need not
+/// be `Send`.  A unit error or a commit error stops further claims; the
+/// first error in unit order is returned.  A unit that panics is caught on
+/// its worker and its payload re-raised on the caller with
+/// [`resume_unwind`] when the unit's turn to commit comes.
+///
+/// # Errors
+/// The first error in unit order, from `run` or from `commit`.
+pub fn run_in_order<T: Send, E: Send>(
+    units: usize,
+    workers: usize,
+    run: impl Fn(usize) -> Result<T, E> + Sync,
+    mut commit: impl FnMut(usize, T) -> Result<(), E>,
+) -> Result<(), E> {
+    type Slot<T, E> = Option<std::thread::Result<Result<T, E>>>;
+    let slots: Mutex<Vec<Slot<T, E>>> = Mutex::new((0..units).map(|_| None).collect());
+    let lock = || slots.lock().unwrap_or_else(PoisonError::into_inner);
+    let ready = Condvar::new();
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let slots = &slots;
-            let next = &next;
-            let failed = &failed;
-            let run = &run;
-            scope.spawn(move || loop {
-                // Fail fast: once any unit errors the whole campaign is
-                // doomed, so don't burn the remaining units' runtimes.
-                if failed.load(std::sync::atomic::Ordering::Relaxed) {
-                    break;
+        for _ in 0..workers.max(1).min(units) {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    if index >= units {
+                        break;
+                    }
+                    let result = catch_unwind(AssertUnwindSafe(|| run(index)));
+                    if !matches!(result, Ok(Ok(_))) {
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                    lock()[index] = Some(result);
+                    ready.notify_one();
                 }
-                let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if index >= units {
-                    break;
-                }
-                let outcome = run(index);
-                if outcome.is_err() {
-                    failed.store(true, std::sync::atomic::Ordering::Relaxed);
-                }
-                *slots[index].lock() = Some(outcome);
             });
         }
-    });
-    if failed.into_inner() {
-        // Return the first error in unit order.
-        for slot in slots {
-            if let Some(Err(e)) = slot.into_inner() {
-                return Err(e);
+        // Claims ascend and a claimed unit always fills its slot, so every
+        // slot up to the first failure fills and no wait below is endless.
+        let mut commit_all = || {
+            for index in 0..units {
+                let mut slots = lock();
+                let result = loop {
+                    if let Some(result) = slots[index].take() {
+                        break result;
+                    }
+                    slots = ready.wait(slots).unwrap_or_else(PoisonError::into_inner);
+                };
+                drop(slots);
+                match result {
+                    Ok(Ok(value)) => commit(index, value)?,
+                    Ok(Err(err)) => return Err(err),
+                    Err(payload) => resume_unwind(payload),
+                }
             }
-        }
-        unreachable!("a failure was flagged but no slot holds an error");
-    }
-    slots
-        .into_iter()
-        // analyzer: allow(panic) — workers either fill every slot or flag a
-        // failure, which returned above.
-        .map(|slot| slot.into_inner().expect("every worker fills its slots"))
-        .collect()
-}
-
-/// Distributes targets across worker threads.
-///
-/// Workers pull targets off a shared work index as they go idle, so skewed
-/// per-target runtimes balance out.  Each target still runs in its own
-/// isolated environment (own clock, own medium, own RNG streams), so the
-/// per-target results are identical to [`SerialExecutor`]'s at any thread
-/// count — threading only changes wall-clock time.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedExecutor {
-    threads: usize,
-}
-
-impl ShardedExecutor {
-    /// Creates an executor with the given number of worker threads (at least
-    /// one).
-    pub fn new(threads: usize) -> Self {
-        ShardedExecutor {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl CampaignExecutor for ShardedExecutor {
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn execute(&self, plan: &CampaignPlan) -> Result<Vec<TargetOutcome>, CampaignError> {
-        let n = plan.target_count();
-        let workers = self.threads.min(n.max(1));
-        if workers <= 1 {
-            return SerialExecutor.execute(plan);
-        }
-        run_sharded(n, workers, |index| plan.run_target(index))
-    }
-}
-
-/// Runs *many campaigns per target* — one per sweep seed — and returns the
-/// outcomes target-major (all sweep seeds of target 0, then target 1, ...).
-///
-/// Sweeping is how probability-gated triggers get their shot: a
-/// vulnerability that fires on only a few percent of matching packets can
-/// easily survive one campaign, but rarely survives eight independently
-/// seeded ones.  Each `(target, seed)` unit is a fully isolated campaign,
-/// so sweeps shard across worker threads with the same bit-for-bit
-/// determinism guarantee as [`ShardedExecutor`].
-///
-/// Feedback engines pool discoveries across the sweep barrier-free: a unit
-/// *publishes* (never reads) its findings into a shared accumulator keyed by
-/// its sweep seed as it finishes, and the accumulator is only merged — in
-/// canonical seed order, independent of completion order — after
-/// [`SeedSweepExecutor::execute`] returns.  Publish-only sharing keeps every
-/// unit a pure function of its `(target, seed)` pair, so the sweep stays
-/// bit-for-bit replayable at any thread count while still pooling novelty
-/// (see the `feedback` crate's corpus hub, which implements this contract on
-/// top of [`run_sharded`]'s work index).
-#[derive(Debug, Clone)]
-pub struct SeedSweepExecutor {
-    seeds: Vec<u64>,
-    threads: usize,
-}
-
-impl SeedSweepExecutor {
-    /// Creates a serial sweep over the given seeds.
-    ///
-    /// # Panics
-    /// Panics if `seeds` is empty — a sweep with no seeds runs nothing.
-    pub fn new(seeds: impl IntoIterator<Item = u64>) -> Self {
-        let seeds: Vec<u64> = seeds.into_iter().collect();
-        assert!(!seeds.is_empty(), "seed sweep needs at least one seed");
-        SeedSweepExecutor { seeds, threads: 1 }
-    }
-
-    /// A sweep over `count` seeds derived from `base` (a convenient way to
-    /// say "give this target `count` independent chances").
-    pub fn derived(base: u64, count: usize) -> Self {
-        assert!(count > 0, "seed sweep needs at least one seed");
-        SeedSweepExecutor::new((0..count as u64).map(|i| btcore::splitmix64(base.wrapping_add(i))))
-    }
-
-    /// Shards the sweep's `(target, seed)` units across `threads` workers.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The sweep's seeds, in execution order.
-    pub fn seeds(&self) -> &[u64] {
-        &self.seeds
-    }
-}
-
-impl CampaignExecutor for SeedSweepExecutor {
-    fn name(&self) -> &'static str {
-        "seed-sweep"
-    }
-
-    fn execute(&self, plan: &CampaignPlan) -> Result<Vec<TargetOutcome>, CampaignError> {
-        let per_target = self.seeds.len();
-        let units = plan.target_count() * per_target;
-        let workers = self.threads.min(units.max(1));
-        let unit = |index: usize| {
-            let target = index / per_target;
-            let seed = self.seeds[index % per_target];
-            plan.run_target_with_seed(target, seed)
+            Ok(())
         };
-        if workers <= 1 {
-            return (0..units).map(unit).collect();
-        }
-        run_sharded(units, workers, unit)
-    }
+        let committed = commit_all();
+        // However the commit loop ended, no further unit is wanted.
+        stop.store(true, Ordering::Relaxed);
+        committed
+    })
 }
 
 /// Marker type; use [`Campaign::builder`].
@@ -868,7 +704,6 @@ impl Campaign {
 /// Fluent description of a campaign; finish with [`CampaignBuilder::run`]
 /// (or [`CampaignBuilder::env`] for hand-driven flows).
 pub struct CampaignBuilder {
-    clock: Option<SimClock>,
     targets: Vec<DeviceProfile>,
     spawner: Option<FuzzerSpawner>,
     budget: TxBudget,
@@ -876,7 +711,8 @@ pub struct CampaignBuilder {
     link_config: LinkConfig,
     seed: u64,
     auto_restart: bool,
-    executor: Box<dyn CampaignExecutor>,
+    threads: usize,
+    sweep: Option<Vec<u64>>,
     link_plan: LinkPlan,
     retry: Option<RetryPolicy>,
     watchdog_micros: Option<u64>,
@@ -885,7 +721,6 @@ pub struct CampaignBuilder {
 impl Default for CampaignBuilder {
     fn default() -> Self {
         CampaignBuilder {
-            clock: None,
             targets: Vec::new(),
             spawner: None,
             budget: TxBudget::unlimited(),
@@ -893,7 +728,8 @@ impl Default for CampaignBuilder {
             link_config: LinkConfig::default(),
             seed: FuzzConfig::default().seed,
             auto_restart: false,
-            executor: Box::new(SerialExecutor),
+            threads: 1,
+            sweep: None,
             link_plan: LinkPlan::Single,
             retry: None,
             watchdog_micros: None,
@@ -902,14 +738,6 @@ impl Default for CampaignBuilder {
 }
 
 impl CampaignBuilder {
-    /// Observes the campaign on `clock`: after the run it is advanced by the
-    /// campaign's elapsed time (the longest per-target time — targets run on
-    /// isolated clocks, in parallel in the modelled world).
-    pub fn clock(mut self, clock: SimClock) -> Self {
-        self.clock = Some(clock);
-        self
-    }
-
     /// Adds one target device.
     pub fn target(mut self, profile: DeviceProfile) -> Self {
         self.targets.push(profile);
@@ -1028,13 +856,47 @@ impl CampaignBuilder {
         self
     }
 
-    /// Sets the executor (default: [`SerialExecutor`]).
-    pub fn executor(mut self, executor: impl CampaignExecutor + 'static) -> Self {
-        self.executor = Box::new(executor);
+    /// Runs the campaign's units on `threads` worker threads (default 1:
+    /// one after another on the calling thread).  Every unit runs in an
+    /// isolated environment, so the outcomes are identical at any count —
+    /// threading changes wall-clock time only.
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
         self
     }
 
-    fn into_plan(self) -> Result<PlanParts, CampaignError> {
+    /// Runs one campaign per target per sweep seed instead of one at the
+    /// builder's seed, target-major (all seeds of target 0, then target 1,
+    /// ...).  A trigger that fires on only a few percent of matching packets
+    /// easily survives one campaign but rarely survives eight independently
+    /// seeded ones.
+    ///
+    /// Feedback engines pool discoveries across a sweep barrier-free: a unit
+    /// *publishes* (never reads) its findings into a shared accumulator keyed
+    /// by its sweep seed, and the accumulator is merged — in canonical seed
+    /// order, independent of completion order — only after
+    /// [`CampaignBuilder::run`] returns.  Every unit stays a pure function of
+    /// its `(target, seed)` pair, so sweeps replay bit for bit at any thread
+    /// count (the `feedback` crate's corpus hub implements this contract).
+    ///
+    /// # Panics
+    /// Panics if `seeds` is empty — a sweep with no seeds runs nothing.
+    pub fn sweep(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
+        let seeds: Vec<u64> = seeds.into_iter().collect();
+        assert!(!seeds.is_empty(), "seed sweep needs at least one seed");
+        self.sweep = Some(seeds);
+        self
+    }
+
+    /// Builds the campaign's immutable plan without running anything — the
+    /// entry point for schedulers (such as the sweep service) that own job
+    /// dispatch themselves and call [`CampaignPlan::run_target`] per unit of
+    /// work.  The thread and sweep settings do not apply: the caller picks
+    /// the units and the threads.
+    ///
+    /// # Errors
+    /// Returns [`CampaignError::NoTargets`] for an empty target list.
+    pub fn plan(self) -> Result<CampaignPlan, CampaignError> {
         if self.targets.is_empty() {
             return Err(CampaignError::NoTargets);
         }
@@ -1048,75 +910,76 @@ impl CampaignBuilder {
         } else {
             RetryPolicy::lossy_link()
         });
-        Ok((
-            CampaignPlan {
-                targets: self.targets,
-                spawner,
-                budget: self.budget,
-                oracle: self.oracle,
-                link_config: self.link_config,
-                seed: self.seed,
-                auto_restart: self.auto_restart,
-                link_plan: self.link_plan,
-                retry,
-                watchdog_micros: self.watchdog_micros,
-            },
-            self.executor,
-            self.clock,
-        ))
+        Ok(CampaignPlan {
+            targets: self.targets,
+            spawner,
+            budget: self.budget,
+            oracle: self.oracle,
+            link_config: self.link_config,
+            seed: self.seed,
+            auto_restart: self.auto_restart,
+            link_plan: self.link_plan,
+            retry,
+            watchdog_micros: self.watchdog_micros,
+        })
     }
 
-    /// Builds the campaign's immutable plan without running anything — the
-    /// entry point for schedulers (such as the sweep service) that own job
-    /// dispatch themselves and call [`CampaignPlan::run_target_with_seed`]
-    /// per unit of work.  The executor and clock settings do not apply: the
-    /// caller is the executor.
-    ///
-    /// # Errors
-    /// Returns [`CampaignError::NoTargets`] for an empty target list.
-    pub fn plan(self) -> Result<CampaignPlan, CampaignError> {
-        let (plan, _, _) = self.into_plan()?;
-        Ok(plan)
-    }
-
-    /// Runs the campaign and collects every target's outcome.
+    /// Runs the campaign and collects every unit's outcome, in unit order.
     ///
     /// # Errors
     /// Returns [`CampaignError::NoTargets`] for an empty target list and
     /// [`CampaignError::Connect`] when a target's link cannot be
     /// established (including dual-transport campaigns against a target
     /// that is not dual-mode).
-    pub fn run(self) -> Result<CampaignOutcome, CampaignError> {
-        let (plan, executor, clock) = self.into_plan()?;
-        let targets = executor.execute(&plan)?;
+    pub fn run(mut self) -> Result<CampaignOutcome, CampaignError> {
+        let seeds = self.sweep.take().unwrap_or_else(|| vec![self.seed]);
+        let threads = self.threads;
+        let plan = self.plan()?;
+        let units = plan.target_count() * seeds.len();
+        let unit = |index: usize| plan.run_target(index / seeds.len(), seeds[index % seeds.len()]);
+        let targets = if threads.min(units) <= 1 {
+            (0..units).map(unit).collect::<Result<Vec<_>, _>>()?
+        } else {
+            let mut targets = Vec::with_capacity(units);
+            run_in_order(units, threads, unit, |_, outcome| {
+                targets.push(outcome);
+                Ok(())
+            })?;
+            targets
+        };
         let elapsed = targets.iter().map(|t| t.elapsed).max().unwrap_or_default();
-        if let Some(clock) = clock {
-            clock.advance(elapsed);
-        }
         Ok(CampaignOutcome { targets, elapsed })
     }
 
     /// Builds the isolated environment of the campaign's single target
     /// without running a fuzzer — the entry point for hand-driven flows such
-    /// as the BlueBorne replay.  Fuzzer, budget, oracle, executor and
+    /// as the BlueBorne replay.  Fuzzer, budget, oracle, thread, sweep and
     /// initiator-count settings do not apply (nothing is run, and a manual
-    /// harness drives exactly one link); a clock set via
-    /// [`CampaignBuilder::clock`] *does* apply and becomes the environment's
-    /// clock, so an external handle observes the driven traffic's time.
+    /// harness drives exactly one link).
     ///
     /// # Errors
     /// Same conditions as [`CampaignBuilder::run`], plus
     /// [`CampaignError::MultipleTargets`] when more than one target was
     /// added — a manual harness drives exactly one device.
     pub fn env(self) -> Result<TargetEnv, CampaignError> {
-        let (mut plan, _, clock) = self.into_plan()?;
+        let mut plan = self.plan()?;
         if plan.target_count() > 1 {
             return Err(CampaignError::MultipleTargets {
                 count: plan.target_count(),
             });
         }
         plan.link_plan = LinkPlan::Single;
-        plan.build_env_on(0, clock.unwrap_or_default())
+        let mut setup = plan.build_setup(0, plan.seed)?;
+        let initiator = setup.initiators.remove(0);
+        Ok(TargetEnv {
+            profile: setup.profile,
+            device: setup.device,
+            link: initiator.link,
+            tap: initiator.tap,
+            clock: setup.clock,
+            meta: initiator.meta,
+            seed: setup.seed,
+        })
     }
 }
 
@@ -1166,18 +1029,6 @@ mod tests {
     }
 
     #[test]
-    fn observer_clock_advances_by_the_campaign_elapsed_time() {
-        let clock = SimClock::new();
-        let outcome = Campaign::builder()
-            .clock(clock.clone())
-            .target(DeviceProfile::table5(ProfileId::D4))
-            .seed(3)
-            .run()
-            .unwrap();
-        assert_eq!(clock.now(), outcome.elapsed);
-    }
-
-    #[test]
     fn serial_and_sharded_executors_agree_bit_for_bit() {
         fn run(sharded_threads: Option<usize>) -> Vec<String> {
             let builder = Campaign::builder()
@@ -1185,13 +1036,13 @@ mod tests {
                 .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 2)))
                 .seed(0xC0FFEE);
             match sharded_threads {
-                None => builder.executor(SerialExecutor),
-                Some(n) => builder.executor(ShardedExecutor::new(n)),
+                None => builder,
+                Some(n) => builder.threads(n),
             }
             .run()
             .unwrap()
             .reports()
-            .map(|r| r.to_json().unwrap())
+            .map(|r| r.to_json())
             .collect()
         }
         let serial = run(None);
@@ -1284,8 +1135,8 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(
-            a.report.to_json().unwrap(),
-            b.report.to_json().unwrap(),
+            a.report.to_json(),
+            b.report.to_json(),
             "same seed + same fault plan must replay bit for bit"
         );
         let bytes = |t: &Trace| -> Vec<Vec<u8>> {
@@ -1339,13 +1190,105 @@ mod tests {
     }
 
     #[test]
+    fn threaded_watchdog_expiry_keeps_its_typed_payload() {
+        let result = std::panic::catch_unwind(|| {
+            Campaign::builder()
+                .targets([ProfileId::D2, ProfileId::D4].map(DeviceProfile::table5))
+                .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 50)))
+                .watchdog(Duration::from_micros(20_000))
+                .threads(2)
+                .seed(11)
+                .run()
+        });
+        let payload = match result {
+            Err(payload) => payload,
+            Ok(_) => panic!("watchdog must fire well before 50 rounds finish"),
+        };
+        let expired = payload
+            .downcast_ref::<hci::fault::WatchdogExpired>()
+            .expect("a worker's payload reaches the caller intact");
+        assert!(expired.now_micros > expired.deadline_micros);
+    }
+
+    #[test]
+    fn pool_commits_in_unit_order_under_skewed_run_times() {
+        let mut committed = Vec::new();
+        let result: Result<(), ()> = run_in_order(
+            6,
+            3,
+            |index| {
+                // Early units run longest, so later ones finish first.
+                std::thread::sleep(Duration::from_millis(5 * (6 - index as u64)));
+                Ok(index * 10)
+            },
+            |index, value| {
+                committed.push((index, value));
+                Ok(())
+            },
+        );
+        assert_eq!(result, Ok(()));
+        assert_eq!(committed, (0..6).map(|i| (i, i * 10)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pool_commit_error_stops_further_claims() {
+        let started = std::sync::atomic::AtomicUsize::new(0);
+        let mut committed = Vec::new();
+        let result = run_in_order(
+            1_000,
+            2,
+            |index| {
+                started.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(Duration::from_millis(1));
+                Ok(index)
+            },
+            |index, _| {
+                committed.push(index);
+                if index == 2 {
+                    Err("commit failed")
+                } else {
+                    Ok(())
+                }
+            },
+        );
+        assert_eq!(result, Err("commit failed"));
+        assert_eq!(committed, vec![0, 1, 2]);
+        assert!(
+            started.into_inner() < 1_000,
+            "workers kept claiming units after the commit failed"
+        );
+    }
+
+    #[test]
+    fn pool_returns_the_first_error_in_unit_order() {
+        let mut committed = Vec::new();
+        let result = run_in_order(
+            8,
+            4,
+            |index| match index {
+                // Unit 5 fails at once; unit 3 fails only after it.
+                5 => Err(5),
+                3 => {
+                    std::thread::sleep(Duration::from_millis(30));
+                    Err(3)
+                }
+                _ => Ok(index),
+            },
+            |index, _| {
+                committed.push(index);
+                Ok(())
+            },
+        );
+        assert_eq!(result, Err(3));
+        assert_eq!(committed, vec![0, 1, 2]);
+    }
+
+    #[test]
     fn seed_sweep_runs_one_campaign_per_seed() {
-        let sweep = SeedSweepExecutor::new([1u64, 2, 3]);
-        assert_eq!(sweep.seeds().len(), 3);
         let outcome = Campaign::builder()
             .target(DeviceProfile::table5(ProfileId::D5))
             .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 1)))
-            .executor(sweep)
+            .sweep([1u64, 2, 3])
             .run()
             .expect("sweep runs");
         assert_eq!(outcome.targets.len(), 3);

@@ -85,24 +85,6 @@ impl StateGuide {
         self
     }
 
-    /// Retries `attempt` per the guide's policy until it yields a value.
-    /// With `RetryPolicy::none` this is exactly one attempt and no extra
-    /// clock charge — the pre-resilience packet stream.
-    fn with_attempts<T>(
-        &mut self,
-        link: &mut LinkHandle,
-        mut attempt: impl FnMut(&mut Self, &mut LinkHandle) -> Option<T>,
-    ) -> Option<T> {
-        let mut result = attempt(self, link);
-        let mut retries = 0;
-        while result.is_none() && retries + 1 < self.retry.max_attempts {
-            link.clock().advance_micros(self.retry.backoff_for(retries));
-            result = attempt(self, link);
-            retries += 1;
-        }
-        result
-    }
-
     /// Number of normal (state-transition) packets this guide has sent.
     pub fn transition_packets_sent(&self) -> u64 {
         self.transition_packets_sent
@@ -290,22 +272,26 @@ impl StateGuide {
         ctx: &mut Option<ChannelContext>,
         code: CommandCode,
     ) -> Result<(), ()> {
+        let retry = self.retry;
         match code {
             CommandCode::ConnectionRequest => {
                 *ctx = Some(
-                    self.with_attempts(link, |g, l| g.open_channel(l, psm, false))
+                    retry
+                        .run(link, |l| self.open_channel(l, psm, false))
                         .ok_or(())?,
                 );
             }
             CommandCode::CreateChannelRequest => {
                 *ctx = Some(
-                    self.with_attempts(link, |g, l| g.open_channel(l, psm, true))
+                    retry
+                        .run(link, |l| self.open_channel(l, psm, true))
                         .ok_or(())?,
                 );
             }
             CommandCode::LeCreditBasedConnectionRequest => {
                 *ctx = Some(
-                    self.with_attempts(link, |g, l| g.open_le_channel(l, psm))
+                    retry
+                        .run(link, |l| self.open_le_channel(l, psm))
                         .ok_or(())?,
                 );
             }

@@ -76,12 +76,8 @@ impl FuzzReport {
     /// file format), written through the streaming writer — the document is
     /// built straight into the output buffer, never as an owned `Value`
     /// tree.
-    ///
-    /// # Errors
-    /// Kept for API stability; the streaming writer cannot fail for this
-    /// type.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        Ok(serde_json::to_string_pretty(self))
+    pub fn to_json(&self) -> String {
+        serde_json::to_string_pretty(self)
     }
 
     /// Parses a report back from JSON through the streaming reader — the
@@ -164,7 +160,7 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let report = sample_report(true);
-        let json = report.to_json().unwrap();
+        let json = report.to_json();
         let back = FuzzReport::from_json(&json).unwrap();
         assert_eq!(report, back);
         assert!(json.contains("Pixel 3"));

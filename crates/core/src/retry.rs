@@ -8,6 +8,8 @@
 //! between them (scaled by `backoff_factor` per retry), so retried schedules
 //! stay exactly as deterministic as everything else.
 
+use hci::medium::LinkHandle;
+
 /// Retry behaviour of the fault-tolerant drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -61,6 +63,25 @@ impl RetryPolicy {
     pub fn backoff_for(&self, retry: u32) -> u64 {
         let factor = u64::from(self.backoff_factor.max(1)).saturating_pow(retry);
         self.backoff_micros.saturating_mul(factor)
+    }
+
+    /// Repeats `attempt` until it yields a value or the attempts run out,
+    /// charging each retry's backoff to `link`'s virtual clock first.  With
+    /// [`RetryPolicy::none`] this is exactly one attempt and no clock charge
+    /// — the pre-resilience packet stream.
+    pub fn run<T>(
+        &self,
+        link: &mut LinkHandle,
+        mut attempt: impl FnMut(&mut LinkHandle) -> Option<T>,
+    ) -> Option<T> {
+        let mut result = attempt(link);
+        let mut retries = 0;
+        while result.is_none() && retries + 1 < self.max_attempts {
+            link.clock().advance_micros(self.backoff_for(retries));
+            result = attempt(link);
+            retries += 1;
+        }
+        result
     }
 }
 

@@ -11,7 +11,7 @@
 //! coverage signature that decides what the corpus retains.  Every random
 //! decision derives from the campaign's per-target seed stream (domain
 //! label `0xFEED`), so feedback campaigns replay bit-for-bit at any
-//! executor parallelism.
+//! worker thread count.
 
 use std::collections::BTreeMap;
 

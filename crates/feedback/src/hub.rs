@@ -1,12 +1,13 @@
 //! Cross-seed corpus pooling for sweep campaigns.
 //!
-//! The contract (documented on [`l2fuzz::campaign::SeedSweepExecutor`]):
+//! The contract (documented on [`l2fuzz::campaign::CampaignBuilder::sweep`]):
 //! during a sweep each `(target, seed)` unit is a pure function of its pair —
 //! it *publishes* its finished corpus into the hub under its own seed and
-//! never reads another unit's.  After the executor returns, [`CorpusHub::merged`]
-//! folds the published corpora in ascending seed order, which is independent
-//! of the work-index scheduling that completed them — so an 8-seed sweep
-//! pools novelty while staying bit-for-bit replayable at any thread count.
+//! never reads another unit's.  After the campaign returns,
+//! [`CorpusHub::merged`] folds the published corpora in ascending seed order,
+//! which is independent of the order the worker pool completed them in — so
+//! an 8-seed sweep pools novelty while staying bit-for-bit replayable at any
+//! thread count.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

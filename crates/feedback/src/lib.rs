@@ -22,7 +22,7 @@
 //!   (splice / havoc / resend-with-field-mutation), selectable on any
 //!   campaign via [`FeedbackCampaignExt::feedback`].
 //! * [`CorpusHub`] pools novelty across the units of a
-//!   [`l2fuzz::campaign::SeedSweepExecutor`] without breaking per-seed
+//!   [`l2fuzz::campaign::CampaignBuilder::sweep`] without breaking per-seed
 //!   isolation: units publish as they finish and the hub merges in canonical
 //!   seed order afterwards, so sweeps replay bit-for-bit at any parallelism.
 //!

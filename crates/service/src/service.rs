@@ -1,9 +1,10 @@
 //! The sweep service: a worker pool draining the shard queue, with
 //! in-order checkpoint commits and verifiable resume.
 //!
-//! Workers claim shards from an atomic cursor and run them out of order;
-//! the committer (the calling thread) commits results strictly in shard
-//! order — corpus insertion, checkpoint rewrite, observer callback — so the
+//! Shards run on [`run_in_order`], the campaign API's worker pool: workers
+//! claim shards from an atomic cursor and run them out of order, and the
+//! committer (the calling thread) commits results strictly in shard order —
+//! corpus insertion, checkpoint rewrite, observer callback — so the
 //! durable state after shard *k* is identical no matter how the pool
 //! interleaved.  That in-order commit rule is what makes "resume from the
 //! last completed shard" well-defined, and campaign determinism is what
@@ -11,12 +12,10 @@
 //! recorded digest bit for bit.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use btstack::DeviceProfile;
-use l2fuzz::campaign::{Campaign, CampaignBuilder, CampaignPlan, TargetOutcome};
+use l2fuzz::campaign::{run_in_order, Campaign, CampaignBuilder, CampaignPlan, TargetOutcome};
 use l2fuzz::fuzzer::Fuzzer;
 use l2fuzz::session::L2FuzzTool;
 use l2fuzz::{FuzzConfig, TxBudget, WatchdogExpired};
@@ -65,11 +64,6 @@ type CommitObserver = Box<dyn Fn(&ShardRecord)>;
 /// the same builder in must yield the same plan out, or resume verification
 /// will rightly reject the checkpoint.
 type PlanHook = Box<dyn Fn(CampaignBuilder) -> CampaignBuilder + Send + Sync>;
-
-/// A commit-queue slot: empty until its shard's worker finishes.  Job-level
-/// failures never occupy an `Err` here — they are quarantined into their
-/// summaries — so a slot always carries the shard's full job list.
-type ShardSlot = Option<Vec<JobResult>>;
 
 /// What a finished (or deliberately stopped) run produced.
 #[derive(Debug)]
@@ -275,76 +269,25 @@ impl SweepService {
     }
 
     /// Runs `pending` shards through the worker pool, committing in shard
-    /// order; returns the number committed.
+    /// order; returns the number committed.  A commit error stops the
+    /// drain; a `TooManyFailures` stop still leaves its crossing shard
+    /// durable, because [`SweepService::commit`] saves before it meters.
     fn drain(
         &self,
         plan: &CampaignPlan,
         checkpoint: &mut Checkpoint,
         pending: &[usize],
     ) -> Result<usize, ServiceError> {
-        if pending.is_empty() {
-            return Ok(0);
-        }
-        let workers = self.workers.min(pending.len());
-        let next = AtomicUsize::new(0);
-        let cancel = AtomicBool::new(false);
-        // Slot `i` receives shard `pending[i]`'s result.  parking_lot's
-        // vendored stub has no Condvar, so the commit queue pairs a std
-        // mutex with a std condvar.
-        let slots: Mutex<Vec<ShardSlot>> = Mutex::new((0..pending.len()).map(|_| None).collect());
-        let ready = Condvar::new();
-
-        let mut committed = 0usize;
-        let mut failure: Option<ServiceError> = None;
         let spec = &self.spec;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if cancel.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(&shard) = pending.get(i) else { break };
-                    let result = run_shard(plan, spec, shard);
-                    let mut guard = slots.lock().expect("slot mutex poisoned");
-                    guard[i] = Some(result);
-                    ready.notify_all();
-                });
-            }
-
-            // The committer: workers claim slots in ascending order, so
-            // slot `i` is guaranteed to fill unless an error at an earlier
-            // slot stops the loop first — every wait below terminates.
-            for (i, &shard) in pending.iter().enumerate() {
-                let results = {
-                    let mut guard = slots.lock().expect("slot mutex poisoned");
-                    loop {
-                        if let Some(results) = guard[i].take() {
-                            break results;
-                        }
-                        guard = ready.wait(guard).expect("slot mutex poisoned");
-                    }
-                };
-                match self.commit(checkpoint, shard, results) {
-                    Ok(()) => committed += 1,
-                    Err(err) => {
-                        // Quarantine-threshold trips commit first, so a
-                        // `TooManyFailures` stop still leaves the crossing
-                        // shard durable; I/O errors stop before the commit.
-                        if matches!(err, ServiceError::TooManyFailures { .. }) {
-                            committed += 1;
-                        }
-                        cancel.store(true, Ordering::SeqCst);
-                        failure = Some(err);
-                        break;
-                    }
-                }
-            }
-        });
-        match failure {
-            Some(err) => Err(err),
-            None => Ok(committed),
-        }
+        run_in_order(
+            pending.len(),
+            self.workers,
+            // Infallible: job-level failures are quarantined into their
+            // summaries, so a unit always carries the shard's full job list.
+            |i| Ok(run_shard(plan, spec, pending[i])),
+            |i, results| self.commit(checkpoint, pending[i], results),
+        )?;
+        Ok(pending.len())
     }
 
     /// Commits one shard: corpus insertion in job order, the shard record,
@@ -438,7 +381,7 @@ fn run_shard(plan: &CampaignPlan, spec: &SweepSpec, shard: usize) -> Vec<JobResu
 /// streams, which is what lets resume verification re-prove failed shards).
 fn run_job(plan: &CampaignPlan, job: JobSpec) -> JobResult {
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        plan.run_target_with_seed(job.target_index, job.seed)
+        plan.run_target(job.target_index, job.seed)
     }));
     match run {
         Ok(Ok(outcome)) => summarize(job, &outcome),

@@ -2,8 +2,9 @@
 //!
 //! A sweep is the cross product `targets × seeds`, enumerated target-major
 //! (all seeds of the first target, then the second, …) — the same order
-//! [`l2fuzz::campaign::SeedSweepExecutor`] produces, so a sweep's job list
-//! is also the index into an equivalent in-process campaign's outcomes.
+//! [`l2fuzz::campaign::CampaignBuilder::sweep`] produces, so a sweep's job
+//! list is also the index into an equivalent in-process campaign's
+//! outcomes.
 //! Jobs are grouped into fixed-size *shards*, the unit of worker dispatch
 //! and of checkpoint commit.
 
@@ -74,12 +75,9 @@ impl SweepSpec {
         }
     }
 
-    /// Derives `count` sweep seeds from `base` (SplitMix64, matching
-    /// [`l2fuzz::campaign::SeedSweepExecutor::derived`]).
+    /// Derives `count` sweep seeds from `base` ([`btcore::sweep_seeds`]).
     pub fn derived_seeds(base: u64, count: usize) -> Vec<u64> {
-        (0..count as u64)
-            .map(|i| btcore::splitmix64(base.wrapping_add(i)))
-            .collect()
+        btcore::sweep_seeds(base, count).collect()
     }
 
     /// Sets the per-job packet budget.

@@ -1,9 +1,9 @@
 //! Table VI-style survey: run the L2Fuzz detection campaign against all eight
 //! simulated devices and print whether (and how fast) each one falls over.
 //!
-//! The eight targets run as one campaign sharded across four worker threads
-//! (`bench::table6_survey`, built on `Campaign::builder()` with a
-//! `ShardedExecutor`); each device lives in its own isolated environment,
+//! The eight targets run as one campaign spread over four worker threads
+//! (`bench::table6_survey`, built on `Campaign::builder()` with
+//! `.threads(4)`); each device lives in its own isolated environment,
 //! so the results are bit-for-bit identical to a serial run of the same
 //! seed — only the wall-clock time changes.
 //!

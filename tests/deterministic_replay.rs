@@ -2,14 +2,12 @@
 //! function of its seed.  Two campaigns with the same seed against freshly
 //! built simulated devices must produce byte-identical reports and traces; a
 //! different seed must actually change the campaign.  The same holds across
-//! executors: `ShardedExecutor` at any thread count must reproduce
-//! `SerialExecutor`'s per-device results bit-for-bit.
+//! thread counts: a campaign spread over worker threads with
+//! `CampaignBuilder::threads` must reproduce the inline run's per-device
+//! results bit-for-bit, at any count.
 
 use btstack::profiles::{DeviceProfile, ProfileId};
-use l2fuzz::campaign::{
-    Campaign, CampaignOutcome, OraclePolicy, SeedSweepExecutor, SerialExecutor, ShardedExecutor,
-    TargetOutcome,
-};
+use l2fuzz::campaign::{Campaign, CampaignOutcome, OraclePolicy, TargetOutcome};
 use l2fuzz::config::FuzzConfig;
 use l2fuzz::fuzzer::TxBudget;
 use l2fuzz::report::FuzzReport;
@@ -41,7 +39,7 @@ fn same_seed_produces_identical_reports() {
 
         // The serialized form is the artifact a user archives; it must be
         // byte-identical too.
-        assert_eq!(first.to_json().unwrap(), second.to_json().unwrap());
+        assert_eq!(first.to_json(), second.to_json());
 
         // The on-air traffic — every packet, both directions, with
         // timestamps from the virtual clock — must replay exactly.
@@ -56,7 +54,7 @@ fn same_seed_produces_identical_reports() {
 #[test]
 fn replayed_report_survives_a_json_round_trip() {
     let (report, _) = run_campaign(ProfileId::D2, 0xD5EED);
-    let json = report.to_json().unwrap();
+    let json = report.to_json();
     let back = FuzzReport::from_json(&json).unwrap();
     assert_eq!(back, report);
     // And a re-run still matches the deserialized copy.
@@ -79,20 +77,21 @@ fn different_seeds_change_the_campaign() {
     assert_eq!(a.states_tested, b.states_tested);
 }
 
-/// Runs the full eight-device survey with the given executor and returns the
-/// serialized per-device reports plus the raw traces.
-fn survey(executor_threads: Option<usize>, seed: u64) -> (Vec<String>, Vec<Trace>) {
+/// Runs the full eight-device survey, inline (`None`) or on the given number
+/// of worker threads, and returns the serialized per-device reports plus the
+/// raw traces.
+fn survey(threads: Option<usize>, seed: u64) -> (Vec<String>, Vec<Trace>) {
     let builder = Campaign::builder()
         .targets(DeviceProfile::all())
         .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 3)))
         .seed(seed);
-    let outcome: CampaignOutcome = match executor_threads {
-        None => builder.executor(SerialExecutor),
-        Some(n) => builder.executor(ShardedExecutor::new(n)),
+    let outcome: CampaignOutcome = match threads {
+        None => builder,
+        Some(n) => builder.threads(n),
     }
     .run()
     .expect("survey runs");
-    let json = outcome.reports().map(|r| r.to_json().unwrap()).collect();
+    let json = outcome.reports().map(|r| r.to_json()).collect();
     let traces = outcome.targets.into_iter().map(|t| t.trace).collect();
     (json, traces)
 }
@@ -128,7 +127,7 @@ fn fingerprint(targets: &[TargetOutcome]) -> Vec<TargetFingerprint> {
     targets
         .iter()
         .map(|t| {
-            let reports = t.reports().map(|r| r.to_json().unwrap()).collect();
+            let reports = t.reports().map(|r| r.to_json()).collect();
             let mut traces: Vec<Vec<Vec<u8>>> = Vec::new();
             for trace in std::iter::once(&t.trace).chain(t.secondary.iter().map(|i| &i.trace)) {
                 traces.push(
@@ -245,8 +244,8 @@ fn multi_initiator_targets_shard_deterministically() {
             .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 1)))
             .seed(0xAB);
         match threads {
-            None => builder.executor(SerialExecutor),
-            Some(n) => builder.executor(ShardedExecutor::new(n)),
+            None => builder,
+            Some(n) => builder.threads(n),
         }
         .run()
         .expect("campaign runs")
@@ -272,8 +271,8 @@ fn faulty_schedules_replay_bit_for_bit_across_executors() {
             .faults(plan)
             .seed(0xFA_0175);
         let outcome = match threads {
-            None => builder.executor(SerialExecutor),
-            Some(n) => builder.executor(ShardedExecutor::new(n)),
+            None => builder,
+            Some(n) => builder.threads(n),
         }
         .run()
         .expect("chaos survey runs");
@@ -295,7 +294,8 @@ fn seed_sweeps_replay_bit_for_bit_at_any_thread_count() {
         let outcome = Campaign::builder()
             .targets([ProfileId::D5, ProfileId::D9].map(DeviceProfile::table5))
             .fuzzer(|| Box::new(L2FuzzTool::detection(FuzzConfig::default(), 1)))
-            .executor(SeedSweepExecutor::derived(0xCAFE, 4).with_threads(threads))
+            .sweep(btcore::sweep_seeds(0xCAFE, 4))
+            .threads(threads)
             .run()
             .expect("sweep runs");
         assert_eq!(outcome.targets.len(), 8, "2 targets x 4 seeds");

@@ -30,7 +30,7 @@ fn pixel3_denial_of_service_is_found_and_logged() {
     assert!(finding.evidence.crash_dump);
     assert!(finding.evidence.error.indicates_dos());
     // The report serializes and parses back.
-    let json = report.to_json().unwrap();
+    let json = report.to_json();
     assert_eq!(FuzzReport::from_json(&json).unwrap(), report);
     // The captured trace is dominated by malformed packets but not rejected
     // en masse (the point of core-field mutation).

@@ -79,8 +79,8 @@ fn chaos_matrix_loss_corrupt_stall_on_both_transports() {
             let a = chaos_outcome(id, plan, 7);
             let b = chaos_outcome(id, plan, 7);
             assert_eq!(
-                a.report.to_json().unwrap(),
-                b.report.to_json().unwrap(),
+                a.report.to_json(),
+                b.report.to_json(),
                 "{fault} × {transport}: chaos campaign must replay bit for bit"
             );
             assert!(
@@ -189,5 +189,5 @@ fn dump_read_failures_are_retried_across_checks() {
     let a = chaos_outcome(ProfileId::D2, plan, 11);
     let b = chaos_outcome(ProfileId::D2, plan, 11);
     assert!(a.report.vulnerable());
-    assert_eq!(a.report.to_json().unwrap(), b.report.to_json().unwrap());
+    assert_eq!(a.report.to_json(), b.report.to_json());
 }

@@ -1,15 +1,13 @@
 //! Coverage-guided fuzzing end-to-end: the feedback engine must keep every
 //! guarantee the dictionary engine gives — bit-for-bit replay at any
-//! executor parallelism, schedule-independent sweep artifacts — while
+//! thread count, schedule-independent sweep artifacts — while
 //! actually closing the loop: corpus retention, energy scheduling, and
 //! detection of the seeded extended-profile vulnerabilities through
 //! `Campaign::builder().feedback(...)`.
 
 use btstack::profiles::{DeviceProfile, ProfileId};
 use feedback::{CorpusHub, FeedbackCampaignExt, FeedbackConfig, FeedbackCorpus};
-use l2fuzz::campaign::{
-    Campaign, SeedSweepExecutor, SerialExecutor, ShardedExecutor, TargetOutcome,
-};
+use l2fuzz::campaign::{Campaign, TargetOutcome};
 
 /// Serializes every initiator of every target: reports as JSON, traces as
 /// raw timestamped bytes — the full observable output of a campaign.
@@ -17,7 +15,7 @@ fn fingerprint(targets: &[TargetOutcome]) -> Vec<(Vec<String>, Vec<Vec<u8>>)> {
     targets
         .iter()
         .map(|t| {
-            let reports = t.reports().map(|r| r.to_json().unwrap()).collect();
+            let reports = t.reports().map(|r| r.to_json()).collect();
             let trace = t
                 .trace
                 .records()
@@ -41,8 +39,8 @@ fn feedback_campaigns_replay_bit_for_bit_across_executors() {
             .feedback(FeedbackConfig::default())
             .seed(0xFEED_5EED);
         let outcome = match threads {
-            None => builder.executor(SerialExecutor),
-            Some(n) => builder.executor(ShardedExecutor::new(n)),
+            None => builder,
+            Some(n) => builder.threads(n),
         }
         .run()
         .expect("feedback survey runs");
@@ -119,7 +117,6 @@ fn feedback_retains_a_corpus_and_reseeds_from_it() {
             .into_single()
             .report
             .to_json()
-            .unwrap()
     };
     assert_eq!(reseeded(merged.clone()), reseeded(merged));
 }
@@ -135,7 +132,8 @@ fn sweep_corpus_merge_is_schedule_independent() {
         let outcome = Campaign::builder()
             .targets([ProfileId::D4, ProfileId::D9].map(DeviceProfile::table5))
             .feedback(FeedbackConfig::default().with_hub(hub.clone()))
-            .executor(SeedSweepExecutor::derived(0xFEED_CAFE, 4).with_threads(threads))
+            .sweep(btcore::sweep_seeds(0xFEED_CAFE, 4))
+            .threads(threads)
             .run()
             .expect("feedback sweep runs");
         assert_eq!(outcome.targets.len(), 8, "2 targets x 4 seeds");

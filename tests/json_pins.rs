@@ -93,8 +93,8 @@ fn persisted_documents_keep_their_exact_bytes() {
     let (checkpoint, service_report) = sweep_documents();
 
     let documents = [
-        d2.report.to_json().unwrap(),
-        d4.report.to_json().unwrap(),
+        d2.report.to_json(),
+        d4.report.to_json(),
         d2.trace.to_json(),
         Trace::new().to_json(),
         checkpoint,

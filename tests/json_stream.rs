@@ -24,11 +24,11 @@ fn outcome() -> (FuzzReport, Trace) {
 fn streamed_report_round_trips() {
     let (report, _) = outcome();
     assert!(report.vulnerable(), "need findings to cover every branch");
-    let json = report.to_json().unwrap();
+    let json = report.to_json();
     let back = FuzzReport::from_json(&json).unwrap();
     assert_eq!(back, report);
     // And serializing the parsed copy reproduces the exact document.
-    assert_eq!(back.to_json().unwrap(), json);
+    assert_eq!(back.to_json(), json);
 }
 
 #[test]
@@ -60,9 +60,9 @@ fn empty_and_skeleton_documents_stream_identically() {
         .expect("campaign runs")
         .into_single();
     assert!(!outcome.report.vulnerable());
-    let json = outcome.report.to_json().unwrap();
+    let json = outcome.report.to_json();
     assert!(json.contains("\"findings\": []"));
     let back = FuzzReport::from_json(&json).unwrap();
     assert_eq!(back, outcome.report);
-    assert_eq!(back.to_json().unwrap(), json);
+    assert_eq!(back.to_json(), json);
 }

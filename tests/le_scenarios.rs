@@ -265,7 +265,7 @@ fn le_campaigns_replay_bit_for_bit_from_their_seed() {
     };
     let (a, b) = (run(), run());
     assert_eq!(a.report, b.report);
-    assert_eq!(a.report.to_json().unwrap(), b.report.to_json().unwrap());
+    assert_eq!(a.report.to_json(), b.report.to_json());
     assert_eq!(a.trace.records(), b.trace.records());
 }
 
