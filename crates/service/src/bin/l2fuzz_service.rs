@@ -5,11 +5,13 @@
 //! ```
 //!
 //! The sweep is the cross product of `--targets` and the seed list, cut
-//! into shards.  With `--checkpoint`, the service rewrites the checkpoint
-//! file atomically after every committed shard; re-running the same command
-//! resumes from the last committed shard and (by default) re-proves the
-//! last shard's digest before continuing.  Kill it at any point — SIGKILL
-//! included — and the next invocation picks up where the commits stopped.
+//! into shards.  With `--checkpoint PATH`, the service writes a snapshot to
+//! `PATH` and appends every committed shard, fsynced, to the shard log
+//! `PATH.log`; a completed sweep compacts the log into the snapshot.
+//! Re-running the same command resumes from the last committed shard and
+//! (by default) re-runs the last shard against its recorded jobs before
+//! continuing.  Kill it at any point — SIGKILL or power loss — and the next
+//! invocation picks up where the commits stopped.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -46,7 +48,7 @@ const USAGE: &str = "l2fuzz-service --targets D2,D5 --seeds 8 [options]\n\
      --budget N         per-job packet budget (default: detection stopping rule)\n\
      --shard-size N     jobs per checkpoint commit (default 4)\n\
      --workers N        worker threads (default 2)\n\
-     --checkpoint PATH  checkpoint file; enables resume across invocations\n\
+     --checkpoint PATH  checkpoint snapshot (shard log: PATH.log); enables resume\n\
      --report PATH      write the final report JSON to PATH when complete\n\
      --verify MODE      resume verification: none | last | all (default last)\n\
      --max-shards N     commit at most N shards this run, then exit 0\n\

@@ -70,7 +70,8 @@ impl CorpusStore {
 
     /// Records a crashing job.  A new key opens a cluster with `trace` as
     /// its exemplar; a known key only appends the member (and its trace
-    /// digest) and merges the vulnerability identifiers.
+    /// digest) and merges the vulnerability identifiers.  Returns `true`
+    /// when the job opened a cluster, i.e. when `trace` was kept.
     pub fn insert(
         &mut self,
         job: usize,
@@ -79,7 +80,7 @@ impl CorpusStore {
         vuln_ids: impl IntoIterator<Item = String>,
         description: &str,
         trace: &Trace,
-    ) {
+    ) -> bool {
         match self.clusters.iter_mut().find(|c| c.key == key) {
             Some(cluster) => {
                 cluster.members.push(job);
@@ -90,6 +91,7 @@ impl CorpusStore {
                         cluster.vuln_ids.sort();
                     }
                 }
+                false
             }
             None => {
                 let mut ids: Vec<String> = vuln_ids.into_iter().collect();
@@ -104,6 +106,7 @@ impl CorpusStore {
                     exemplar_job: job,
                     exemplar_trace: trace.clone(),
                 });
+                true
             }
         }
     }
@@ -145,6 +148,35 @@ impl CorpusStore {
                 .then(ia.cmp(ib))
         });
         ranked.into_iter().map(|(_, c)| c).collect()
+    }
+}
+
+/// One [`CorpusStore::insert`] call, owned: what a crashing job adds to the
+/// corpus.  A shard-log record carries its shard's inserts in commit order;
+/// an insert whose cluster already exists carries no trace, because only a
+/// cluster's first member donates one.
+#[derive(Serialize, Deserialize)]
+pub(crate) struct CorpusInsert {
+    pub(crate) job: usize,
+    pub(crate) trace_digest: u64,
+    pub(crate) key: ClusterKey,
+    pub(crate) vuln_ids: Vec<String>,
+    pub(crate) description: String,
+    pub(crate) trace: Option<Trace>,
+}
+
+impl CorpusInsert {
+    /// Applies the insert to `corpus`; `true` when it opened a cluster.
+    pub(crate) fn apply(&self, corpus: &mut CorpusStore) -> bool {
+        let empty = Trace::new();
+        corpus.insert(
+            self.job,
+            self.trace_digest,
+            self.key,
+            self.vuln_ids.iter().cloned(),
+            &self.description,
+            self.trace.as_ref().unwrap_or(&empty),
+        )
     }
 }
 

@@ -2,11 +2,14 @@
 //!
 //! [`SweepService`] turns a [`SweepSpec`] — the cross product of device
 //! profiles and campaign seeds, cut into shards — into a worker pool that
-//! drains the job queue, commits results **in shard order**, and rewrites a
-//! streamed-JSON [`Checkpoint`] after every commit.  Because campaigns are
-//! bit-for-bit deterministic, a killed sweep does not merely *resume* from
-//! the last committed shard: the resume is *verified* by re-running a
-//! committed shard and comparing its digest ([`ResumeVerify`]).  Finished
+//! drains the job queue and commits results **in shard order**.  With a
+//! [`Checkpoint`] file, each commit appends one checksummed record to a
+//! shard log beside the streamed-JSON snapshot and fsyncs it; the snapshot
+//! itself is rewritten only when the log is compacted, at the sweep's start
+//! and end.  Because campaigns are bit-for-bit deterministic, a killed sweep
+//! does not merely *resume* from the last committed shard: the resume is
+//! *verified* by re-running committed shards and comparing their job
+//! summaries with the recorded ones ([`ResumeVerify`]).  Finished
 //! crashing jobs are clustered in a [`CorpusStore`] keyed by crash-dump
 //! identity × state-coverage signature, so a thousand jobs tripping the
 //! same seeded vulnerability collapse into one cluster with an exemplar
@@ -23,6 +26,7 @@ pub mod corpus;
 pub mod digest;
 pub mod report;
 pub mod service;
+mod shard_log;
 pub mod spec;
 
 use std::fmt;
@@ -61,15 +65,35 @@ pub enum ServiceError {
         /// Digest recorded in the checkpoint.
         found: u64,
     },
-    /// Resume verification re-ran a committed shard and got a different
-    /// digest — the checkpoint cannot be trusted.
+    /// A checkpoint snapshot parses, but one of its shards is out of
+    /// order, holds jobs its spec does not put there, or does not match its
+    /// own digest.
+    InvalidShard {
+        /// The snapshot path involved.
+        path: String,
+        /// Position of the offending shard.
+        shard: usize,
+        /// What is wrong with it.
+        reason: String,
+    },
+    /// A shard-log record before the log's torn tail (if any) is damaged,
+    /// fails the checks of [`ServiceError::InvalidShard`], or contradicts
+    /// the snapshot.
+    BadLogRecord {
+        /// The log path involved.
+        path: String,
+        /// Position of the offending record (0-based).
+        record: usize,
+        /// What is wrong with it.
+        reason: String,
+    },
+    /// Resume verification re-ran committed shards and they did not
+    /// reproduce what the checkpoint holds — it cannot be trusted.
     VerifyFailed {
         /// The shard that failed to reproduce.
         shard: usize,
-        /// Digest recorded in the checkpoint.
-        expected: u64,
-        /// Digest the re-run produced.
-        found: u64,
+        /// The first difference found.
+        reason: String,
     },
     /// The quarantine threshold tripped: more jobs failed or timed out than
     /// the service's `max_job_failures` allows.  Everything committed so
@@ -98,15 +122,22 @@ impl fmt::Display for ServiceError {
                 "checkpoint belongs to a different sweep \
                  (spec digest {found:016x}, expected {expected:016x})"
             ),
-            ServiceError::VerifyFailed {
+            ServiceError::InvalidShard {
+                path,
                 shard,
-                expected,
-                found,
+                reason,
+            } => write!(f, "checkpoint `{path}` is invalid: shard {shard} {reason}"),
+            ServiceError::BadLogRecord {
+                path,
+                record,
+                reason,
             } => write!(
                 f,
-                "resume verification failed: shard {shard} re-ran to digest \
-                 {found:016x}, checkpoint recorded {expected:016x}"
+                "shard log `{path}` is damaged at record {record}: {reason}"
             ),
+            ServiceError::VerifyFailed { shard, reason } => {
+                write!(f, "resume verification failed: shard {shard}: {reason}")
+            }
             ServiceError::TooManyFailures { limit, failed } => write!(
                 f,
                 "sweep stopped: {failed} job(s) quarantined, exceeding the \

@@ -4,12 +4,13 @@
 //! Shards run on [`run_in_order`], the campaign API's worker pool: workers
 //! claim shards from an atomic cursor and run them out of order, and the
 //! committer (the calling thread) commits results strictly in shard order —
-//! corpus insertion, checkpoint rewrite, observer callback — so the
-//! durable state after shard *k* is identical no matter how the pool
-//! interleaved.  That in-order commit rule is what makes "resume from the
-//! last completed shard" well-defined, and campaign determinism is what
-//! makes it *verifiable*: re-running a committed shard must reproduce its
-//! recorded digest bit for bit.
+//! corpus insertion, one fsynced shard-log append, observer callback — so
+//! the durable state after shard *k* is identical no matter how the pool
+//! interleaved.  The snapshot is rewritten (compacted) only when a sweep
+//! starts fresh and when it completes.  That in-order commit rule is what
+//! makes "resume from the last completed shard" well-defined, and campaign
+//! determinism is what makes it *verifiable*: re-running a committed shard
+//! must reproduce its recorded job summaries bit for bit.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -19,11 +20,12 @@ use l2fuzz::campaign::{run_in_order, Campaign, CampaignBuilder, CampaignPlan, Ta
 use l2fuzz::fuzzer::Fuzzer;
 use l2fuzz::session::L2FuzzTool;
 use l2fuzz::{FuzzConfig, TxBudget, WatchdogExpired};
-use sniffer::{StateCoverage, Trace};
+use sniffer::StateCoverage;
 
 use crate::checkpoint::{Checkpoint, JobOutcome, JobSummary, ShardRecord};
-use crate::corpus::ClusterKey;
+use crate::corpus::{ClusterKey, CorpusInsert, CorpusStore};
 use crate::report::ServiceReport;
+use crate::shard_log::{self, LogEntry, ShardLog};
 use crate::spec::{JobSpec, SweepSpec};
 use crate::ServiceError;
 
@@ -32,27 +34,21 @@ use crate::ServiceError;
 pub enum ResumeVerify {
     /// Trust the checkpoint as written.
     None,
-    /// Re-run the last committed shard and compare digests (the default:
-    /// catches a torn or stale checkpoint at the cost of one shard).
+    /// Re-run the last committed shard and compare its job summaries (the
+    /// default: catches a stale checkpoint at the cost of one shard).
     #[default]
     LastShard,
-    /// Re-run every committed shard (full proof; linear in committed work).
+    /// Re-run every committed shard and compare its job summaries, then
+    /// compare the corpus they rebuild with the loaded one (full proof;
+    /// linear in committed work).
     All,
 }
 
-/// A crashing job's corpus contribution, carried from the worker to the
-/// committer alongside its summary.
-struct CrashInfo {
-    key: ClusterKey,
-    vuln_ids: Vec<String>,
-    description: String,
-    trace: Trace,
-}
-
-/// One finished job: the durable summary plus the (transient) corpus data.
+/// One finished job: the durable summary plus, for a crashing job, its
+/// corpus insert (trace included).
 struct JobResult {
     summary: JobSummary,
-    crash: Option<CrashInfo>,
+    crash: Option<CorpusInsert>,
 }
 
 /// A per-commit callback, invoked on the committing thread in shard order.
@@ -135,8 +131,11 @@ impl SweepService {
         self
     }
 
-    /// Enables checkpointing to `path`: the file is rewritten atomically
-    /// after every committed shard, and an existing file is resumed from.
+    /// Enables checkpointing to `path`: a fresh sweep writes the snapshot
+    /// there, every committed shard is appended (and fsynced) to the shard
+    /// log beside it ([`Checkpoint::log_path`]), and a completed sweep
+    /// compacts the log into the snapshot.  An existing snapshot is resumed
+    /// from.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint_path = Some(path.into());
         self
@@ -190,14 +189,15 @@ impl SweepService {
     /// # Errors
     /// - [`ServiceError::Campaign`] when a job's campaign cannot run;
     /// - [`ServiceError::Io`]/[`ServiceError::Json`] on checkpoint
-    ///   filesystem or parse failures;
+    ///   filesystem or parse failures, and the errors of
+    ///   [`Checkpoint::load`] on a damaged checkpoint;
     /// - [`ServiceError::SpecMismatch`] when the checkpoint on disk belongs
     ///   to a different sweep definition;
     /// - [`ServiceError::VerifyFailed`] when a committed shard does not
-    ///   reproduce its recorded digest.
+    ///   reproduce what the checkpoint holds.
     pub fn run(&self) -> Result<SweepOutcome, ServiceError> {
         let plan = build_plan(&self.spec, self.customize.as_deref())?;
-        let mut checkpoint = self.load_or_create()?;
+        let (mut checkpoint, log_len) = self.load_or_create()?;
         let resumed_from = checkpoint.completed_shards();
         let verified_shards = self.verify_resume(&plan, &checkpoint)?;
 
@@ -207,10 +207,20 @@ impl SweepService {
             None => total,
         };
         let pending: Vec<usize> = (resumed_from..end).collect();
-        let committed_this_run = self.drain(&plan, &mut checkpoint, &pending)?;
+        let mut log = match &self.checkpoint_path {
+            Some(path) if !pending.is_empty() => Some(ShardLog::open(path, log_len)?),
+            _ => None,
+        };
+        let committed_this_run = self.drain(&plan, &mut checkpoint, log.as_mut(), &pending)?;
+        drop(log); // closed before a compaction removes it
 
-        let report = (checkpoint.completed_shards() == total)
-            .then(|| ServiceReport::from_checkpoint(&checkpoint));
+        let complete = checkpoint.completed_shards() == total;
+        if let Some(path) = self.checkpoint_path.as_ref().filter(|_| complete) {
+            if Checkpoint::log_path(path).exists() {
+                checkpoint.save(path)?;
+            }
+        }
+        let report = complete.then(|| ServiceReport::from_checkpoint(&checkpoint));
         Ok(SweepOutcome {
             report,
             checkpoint,
@@ -220,27 +230,36 @@ impl SweepService {
         })
     }
 
-    /// Loads the checkpoint when one exists (validating its spec identity),
-    /// otherwise starts fresh.
-    fn load_or_create(&self) -> Result<Checkpoint, ServiceError> {
-        match &self.checkpoint_path {
-            Some(path) if path.exists() => {
-                let checkpoint = Checkpoint::load(path)?;
-                let expected = self.spec.digest();
-                if checkpoint.spec_digest != expected || checkpoint.spec != self.spec {
-                    return Err(ServiceError::SpecMismatch {
-                        expected,
-                        found: checkpoint.spec_digest,
-                    });
-                }
-                Ok(checkpoint)
-            }
-            _ => Ok(Checkpoint::new(self.spec.clone())),
+    /// Loads the checkpoint when its snapshot exists (validating its spec
+    /// identity), returning it with the byte length of the shard log's
+    /// whole records.  Otherwise starts fresh: removes any leftover log
+    /// first, then writes a snapshot with nothing committed — so a log is
+    /// never the only durable state.
+    fn load_or_create(&self) -> Result<(Checkpoint, u64), ServiceError> {
+        let fresh = Checkpoint::new(self.spec.clone());
+        let Some(path) = &self.checkpoint_path else {
+            return Ok((fresh, 0));
+        };
+        if !path.exists() {
+            shard_log::remove_log(path)?;
+            fresh.save(path)?;
+            return Ok((fresh, 0));
         }
+        let (checkpoint, log_len) = Checkpoint::recover(path)?;
+        let expected = self.spec.digest();
+        if checkpoint.spec_digest != expected || checkpoint.spec != self.spec {
+            return Err(ServiceError::SpecMismatch {
+                expected,
+                found: checkpoint.spec_digest,
+            });
+        }
+        Ok((checkpoint, log_len))
     }
 
     /// Re-runs committed shards per the verification policy and compares
-    /// digests.
+    /// their job summaries, field by field, with the recorded ones; under
+    /// [`ResumeVerify::All`] also compares the corpus the re-runs rebuild
+    /// with the loaded corpus.
     fn verify_resume(
         &self,
         plan: &CampaignPlan,
@@ -252,18 +271,37 @@ impl SweepService {
             ResumeVerify::LastShard => committed.checked_sub(1).into_iter().collect(),
             ResumeVerify::All => (0..committed).collect(),
         };
+        let mut corpus = CorpusStore::new();
         for &shard in &shards {
             let results = run_shard(plan, &self.spec, shard);
-            let summaries: Vec<JobSummary> = results.into_iter().map(|r| r.summary).collect();
-            let found = ShardRecord::digest_jobs(&summaries);
-            let expected = checkpoint.shards[shard].digest;
-            if found != expected {
-                return Err(ServiceError::VerifyFailed {
-                    shard,
-                    expected,
-                    found,
-                });
+            for (stored, rerun) in checkpoint.shards[shard].jobs.iter().zip(&results) {
+                if *stored != rerun.summary {
+                    let reason = format!(
+                        "job {} re-ran to {}, the checkpoint holds {}",
+                        stored.index,
+                        serde_json::to_string(&rerun.summary),
+                        serde_json::to_string(stored)
+                    );
+                    return Err(ServiceError::VerifyFailed { shard, reason });
+                }
             }
+            for insert in results.iter().filter_map(|r| r.crash.as_ref()) {
+                insert.apply(&mut corpus);
+            }
+        }
+        if self.verify == ResumeVerify::All && corpus != checkpoint.corpus {
+            let (rebuilt, loaded) = (corpus.clusters(), checkpoint.corpus.clusters());
+            let first = (0..rebuilt.len().max(loaded.len()))
+                .find(|&i| rebuilt.get(i) != loaded.get(i))
+                .unwrap_or(0);
+            let job = rebuilt
+                .get(first)
+                .or(loaded.get(first))
+                .map_or(0, |c| c.exemplar_job);
+            return Err(ServiceError::VerifyFailed {
+                shard: job / self.spec.shard_size,
+                reason: format!("corpus cluster {first} differs from the one the re-runs rebuild"),
+            });
         }
         Ok(shards)
     }
@@ -271,11 +309,12 @@ impl SweepService {
     /// Runs `pending` shards through the worker pool, committing in shard
     /// order; returns the number committed.  A commit error stops the
     /// drain; a `TooManyFailures` stop still leaves its crossing shard
-    /// durable, because [`SweepService::commit`] saves before it meters.
+    /// durable, because [`SweepService::commit`] appends before it meters.
     fn drain(
         &self,
         plan: &CampaignPlan,
         checkpoint: &mut Checkpoint,
+        mut log: Option<&mut ShardLog>,
         pending: &[usize],
     ) -> Result<usize, ServiceError> {
         let spec = &self.spec;
@@ -285,32 +324,31 @@ impl SweepService {
             // Infallible: job-level failures are quarantined into their
             // summaries, so a unit always carries the shard's full job list.
             |i| Ok(run_shard(plan, spec, pending[i])),
-            |i, results| self.commit(checkpoint, pending[i], results),
+            |i, results| self.commit(checkpoint, log.as_deref_mut(), pending[i], results),
         )?;
         Ok(pending.len())
     }
 
     /// Commits one shard: corpus insertion in job order, the shard record,
-    /// the checkpoint rewrite, and the observer — then meters the
+    /// the fsynced shard-log append, and the observer — then meters the
     /// quarantine threshold, so the crossing shard is durable before the
     /// sweep stops.
     fn commit(
         &self,
         checkpoint: &mut Checkpoint,
+        log: Option<&mut ShardLog>,
         shard: usize,
         results: Vec<JobResult>,
     ) -> Result<(), ServiceError> {
         let mut jobs = Vec::with_capacity(results.len());
+        let mut corpus = Vec::new();
         for result in results {
-            if let Some(crash) = result.crash {
-                checkpoint.corpus.insert(
-                    result.summary.index,
-                    result.summary.trace_digest,
-                    crash.key,
-                    crash.vuln_ids,
-                    &crash.description,
-                    &crash.trace,
-                );
+            if let Some(mut insert) = result.crash {
+                // Only the insert that opens a cluster keeps its trace.
+                if !insert.apply(&mut checkpoint.corpus) {
+                    insert.trace = None;
+                }
+                corpus.push(insert);
             }
             jobs.push(result.summary);
         }
@@ -319,10 +357,11 @@ impl SweepService {
             digest: ShardRecord::digest_jobs(&jobs),
             jobs,
         };
-        checkpoint.shards.push(record);
-        if let Some(path) = &self.checkpoint_path {
-            checkpoint.save(path)?;
+        let entry = LogEntry { record, corpus };
+        if let Some(log) = log {
+            log.append(&entry)?;
         }
+        checkpoint.shards.push(entry.record);
         if let (Some(observer), Some(record)) = (&self.on_commit, checkpoint.shards.last()) {
             observer(record);
         }
@@ -453,12 +492,13 @@ fn summarize(job: JobSpec, outcome: &TargetOutcome) -> JobResult {
                     .map(|dump| format!("{} in {}", dump.kind, dump.process))
             })
             .unwrap_or_else(|| "crash without findings or dumps".to_owned());
-        let vuln_ids = dumps.iter().map(|d| d.vuln_id.clone()).collect();
-        Some(CrashInfo {
+        Some(CorpusInsert {
+            job: job.index,
+            trace_digest,
             key,
-            vuln_ids,
+            vuln_ids: dumps.iter().map(|d| d.vuln_id.clone()).collect(),
             description,
-            trace: trace.clone(),
+            trace: Some(trace.clone()),
         })
     };
 

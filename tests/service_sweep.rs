@@ -1,8 +1,9 @@
 //! Fleet-service guarantees: a sweep killed mid-flight resumes from its
 //! checkpoint to the **byte-identical** final report an uninterrupted run
 //! produces; the resume is *verified* (re-running a committed shard must
-//! reproduce its recorded digest); and same-vulnerability jobs collapse
-//! into one corpus cluster with an exemplar trace.
+//! reproduce its recorded jobs); a torn or stale shard log costs nothing
+//! but re-run shards; and same-vulnerability jobs collapse into one corpus
+//! cluster with an exemplar trace.
 
 use std::path::PathBuf;
 
@@ -155,6 +156,211 @@ fn tampered_checkpoint_fails_resume_verification() {
     );
 
     std::fs::remove_file(&path).ok();
+}
+
+/// The operator repro of a tampered summary: `l2fuzz-service --targets
+/// D2,D4 --seeds 3 --budget 500 --shard-size 1`.
+fn cli_spec() -> SweepSpec {
+    SweepSpec::new(
+        "sweep",
+        [ProfileId::D2, ProfileId::D4],
+        SweepSpec::derived_seeds(1337, 3),
+    )
+    .with_budget(500)
+    .with_shard_size(1)
+}
+
+#[test]
+fn a_tampered_summary_fails_full_verification() {
+    let path = scratch("summary");
+    let _ = std::fs::remove_file(&path);
+    SweepService::new(cli_spec())
+        .checkpoint(&path)
+        .run()
+        .expect("sweep runs");
+
+    // The shard digest does not cover these fields, so load accepts the
+    // edit; re-running the shard must not.
+    let mut checkpoint = Checkpoint::load(&path).expect("checkpoint loads");
+    let job = &mut checkpoint.shards[0].jobs[0];
+    assert!(!job.vulnerable, "the repro's job 0 finds nothing");
+    job.vulnerable = true;
+    job.findings = 9;
+    checkpoint.save(&path).expect("tampered checkpoint saves");
+    Checkpoint::load(&path).expect("the digest does not cover the edit");
+
+    let err = SweepService::new(cli_spec())
+        .checkpoint(&path)
+        .verify(ResumeVerify::All)
+        .run()
+        .expect_err("a tampered summary must fail verification");
+    assert!(
+        matches!(err, ServiceError::VerifyFailed { shard: 0, .. }),
+        "got {err}"
+    );
+
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_tampered_corpus_fails_full_verification() {
+    let path = scratch("corpus");
+    let _ = std::fs::remove_file(&path);
+    let outcome = SweepService::new(spec("corpus"))
+        .workers(2)
+        .checkpoint(&path)
+        .run()
+        .expect("sweep runs");
+    let description = &outcome.checkpoint.corpus.clusters()[0].description;
+
+    let json = std::fs::read_to_string(&path).expect("snapshot reads");
+    let quoted = format!("\"description\": \"{description}\"");
+    assert_eq!(json.matches(&quoted).count(), 1);
+    let tampered = json.replace(&quoted, "\"description\": \"tampered\"");
+    std::fs::write(&path, tampered).expect("tampered snapshot writes");
+
+    // Last-shard verification re-runs no corpus; full verification does.
+    SweepService::new(spec("corpus"))
+        .checkpoint(&path)
+        .run()
+        .expect("last-shard verification does not rebuild the corpus");
+    let err = SweepService::new(spec("corpus"))
+        .workers(2)
+        .checkpoint(&path)
+        .verify(ResumeVerify::All)
+        .run()
+        .expect_err("a tampered corpus must fail full verification");
+    assert!(
+        matches!(err, ServiceError::VerifyFailed { shard: 0, .. }),
+        "got {err}"
+    );
+
+    std::fs::remove_file(&path).ok();
+}
+
+/// The byte offset at which each record of a shard log starts, read from
+/// the framing: `len: u32 LE`, `!len: u32 LE`, checksum `u64 LE`, payload.
+fn record_starts(log: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut at = 0;
+    while at < log.len() {
+        starts.push(at);
+        let len = u32::from_le_bytes(log[at..at + 4].try_into().unwrap());
+        at += 16 + len as usize;
+    }
+    assert_eq!(at, log.len(), "the log holds whole records");
+    starts
+}
+
+/// A sweep whose first shards are small: hardened D4 jobs record no trace,
+/// so the torn-tail loop below reloads a few kilobytes per byte offset.
+fn torn_spec() -> SweepSpec {
+    SweepSpec::new(
+        "torn",
+        [ProfileId::D4, ProfileId::D2],
+        SweepSpec::derived_seeds(0xF1EE7, 3),
+    )
+    .with_budget(2000)
+    .with_shard_size(1)
+}
+
+#[test]
+fn a_torn_log_tail_costs_one_shard_and_resumes_byte_identically() {
+    let reference = SweepService::new(torn_spec())
+        .workers(2)
+        .run()
+        .expect("reference sweep runs")
+        .report
+        .expect("reference sweep completes");
+    assert!(!reference.corpus.is_empty(), "the D2 jobs crash");
+
+    let path = scratch("torn");
+    let log = Checkpoint::log_path(&path);
+    let _ = std::fs::remove_file(&path);
+    SweepService::new(torn_spec())
+        .workers(2)
+        .checkpoint(&path)
+        .max_shards(3)
+        .run()
+        .expect("partial sweep runs");
+    let whole = std::fs::read(&log).expect("three commits are logged");
+    let last = *record_starts(&whole).last().unwrap();
+    assert_eq!(record_starts(&whole).len(), 3);
+
+    // Cut the last record at every byte: one shard fewer, never an error.
+    for cut in last..whole.len() {
+        std::fs::write(&log, &whole[..cut]).unwrap();
+        let checkpoint = Checkpoint::load(&path).expect("a torn tail loads");
+        assert_eq!(checkpoint.completed_shards(), 2, "cut at byte {cut}");
+    }
+
+    // Resuming over a torn tail appends after the whole records, and the
+    // sweep finishes with the reference report.
+    for cut in [last + 3, (last + whole.len()) / 2, whole.len() - 3] {
+        std::fs::write(&log, &whole[..cut]).unwrap();
+        let outcome = SweepService::new(torn_spec())
+            .workers(2)
+            .checkpoint(&path)
+            .max_shards(1)
+            .run()
+            .expect("resume over a torn tail runs");
+        assert_eq!(outcome.resumed_from, 2);
+        assert_eq!(std::fs::read(&log).unwrap(), whole, "cut at byte {cut}");
+        assert_eq!(Checkpoint::load(&path).unwrap().completed_shards(), 3);
+    }
+    let resumed = SweepService::new(torn_spec())
+        .workers(2)
+        .checkpoint(&path)
+        .verify(ResumeVerify::All)
+        .run()
+        .expect("resume runs")
+        .report
+        .expect("resume completes");
+    assert_eq!(resumed.to_json(), reference.to_json());
+    assert!(!log.exists(), "a completed sweep compacts its log");
+
+    // A kill between the compaction's rename and its log removal leaves
+    // records the snapshot already holds; the next run skips them and
+    // removes the log.
+    std::fs::write(&log, &whole).unwrap();
+    let again = SweepService::new(torn_spec())
+        .checkpoint(&path)
+        .run()
+        .expect("a leftover log beside a complete snapshot loads")
+        .report
+        .expect("still complete");
+    assert_eq!(again.to_json(), reference.to_json());
+    assert!(!log.exists());
+
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_fresh_sweep_ignores_a_stale_log() {
+    // Another sweep's log, left behind without its snapshot.
+    let path = scratch("stale");
+    let log = Checkpoint::log_path(&path);
+    let _ = std::fs::remove_file(&path);
+    SweepService::new(spec("stale-other"))
+        .checkpoint(&path)
+        .max_shards(2)
+        .run()
+        .expect("the other sweep runs");
+    std::fs::remove_file(&path).expect("snapshot removed");
+    assert!(log.exists());
+
+    let outcome = SweepService::new(spec("stale"))
+        .checkpoint(&path)
+        .max_shards(1)
+        .run()
+        .expect("a fresh sweep starts over the stale log");
+    assert_eq!(outcome.resumed_from, 0);
+    let checkpoint = Checkpoint::load(&path).expect("checkpoint loads");
+    assert_eq!(checkpoint.spec, spec("stale"));
+    assert_eq!(checkpoint, outcome.checkpoint);
+
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&log).ok();
 }
 
 #[test]
